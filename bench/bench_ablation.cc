@@ -1,4 +1,4 @@
-// Ablation study of the design choices DESIGN.md calls out:
+// Ablation study of the 2WRS design choices:
 //  - what each buffer contributes (buffer setup sweep per dataset);
 //  - how often the correctness backstops (divert rule, migration) fire per
 //    input heuristic — quantifying how well each heuristic separates the

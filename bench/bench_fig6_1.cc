@@ -3,8 +3,8 @@
 // and finds a U-shaped curve with the optimum near fan-in 10: small fan-ins
 // need more merge passes, large fan-ins make the disk head seek between
 // many files. A page-cached SSD hides the right half of the U, so the
-// simulated disk model (DESIGN.md §4) supplies the seek accounting; real
-// wall-clock time is reported alongside.
+// simulated disk model (SimDiskEnv, src/io/sim_disk_env.h) supplies the
+// seek accounting; real wall-clock time is reported alongside.
 
 #include <algorithm>
 
@@ -55,7 +55,7 @@ void Run() {
     options.fan_in = fan_in;
     // The paper's merge buffers share the sort memory: more ways -> smaller
     // buffer per run, which is what makes wide fan-ins seek-bound.
-    options.block_bytes = (1 << 22) / fan_in;
+    options.io.block_bytes = (1 << 22) / fan_in;
     options.temp_dir = dir;
     options.temp_prefix = "fan" + std::to_string(fan_in);
     options.remove_inputs = false;  // keep the template runs

@@ -81,8 +81,9 @@ void BM_DoubleHeapReplacement(benchmark::State& state) {
 }
 BENCHMARK(BM_DoubleHeapReplacement)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
-// Ablation (DESIGN.md §2.2): the paper's single-array DoubleHeap versus the
-// naive layout of two independently allocated heaps.
+// Ablation: the paper's single-array DoubleHeap, where either heap grows at
+// the other's expense without allocating (§4.1), versus the naive layout of
+// two independently allocated heaps.
 void BM_TwoVectorDoubleHeapReplacement(benchmark::State& state) {
   struct TaggedBefore {
     bool top;

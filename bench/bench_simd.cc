@@ -140,55 +140,6 @@ KernelTiming BenchPartition(bool avx2) {
   return timing;
 }
 
-KernelTiming BenchEncode(bool avx2) {
-  const std::vector<Key> keys = RandomKeys(kKeys, kSeed + 3);
-  std::vector<uint8_t> bytes(kKeys * kRecordBytes);
-  KernelTiming timing{"encode", kKeys, 0.0, 0.0};
-  timing.scalar_seconds = TimeSeconds(
-      [&] {
-        simd::internal::EncodeKeysBatchScalar(keys.data(), keys.size(),
-                                              bytes.data());
-      },
-      200);
-  if (avx2) {
-    const std::vector<uint8_t> expected = bytes;
-    timing.avx2_seconds = TimeSeconds(
-        [&] {
-          simd::internal::EncodeKeysBatchAvx2(keys.data(), keys.size(),
-                                              bytes.data());
-        },
-        200);
-    RequireIdentical(bytes == expected, timing.kernel);
-  }
-  return timing;
-}
-
-KernelTiming BenchDecode(bool avx2) {
-  const std::vector<Key> source = RandomKeys(kKeys, kSeed + 4);
-  std::vector<uint8_t> bytes(kKeys * kRecordBytes);
-  simd::internal::EncodeKeysBatchScalar(source.data(), source.size(),
-                                        bytes.data());
-  std::vector<Key> keys(kKeys);
-  KernelTiming timing{"decode", kKeys, 0.0, 0.0};
-  timing.scalar_seconds = TimeSeconds(
-      [&] {
-        simd::internal::DecodeKeysBatchScalar(bytes.data(), keys.size(),
-                                              keys.data());
-      },
-      200);
-  if (avx2) {
-    const std::vector<Key> expected = keys;
-    timing.avx2_seconds = TimeSeconds(
-        [&] {
-          simd::internal::DecodeKeysBatchAvx2(bytes.data(), keys.size(),
-                                              keys.data());
-        },
-        200);
-    RequireIdentical(keys == expected, timing.kernel);
-  }
-  return timing;
-}
-
 /// MinIndexN is a per-selection primitive, so one repetition slides an
 /// 8-wide window over the key array — the shape of an 8-way merge's inner
 /// loop — and folds the picked indices into a checksum.
@@ -235,8 +186,6 @@ int Main(int argc, char** argv) {
                       "Speedup"});
   Report(BenchSortKeysBlock(avx2), &table);
   Report(BenchPartition(avx2), &table);
-  Report(BenchEncode(avx2), &table);
-  Report(BenchDecode(avx2), &table);
   Report(BenchMinIndex(avx2), &table);
   table.Print(std::cout);
 

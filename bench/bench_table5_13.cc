@@ -1,9 +1,10 @@
 // Reproduces Table 5.13 of the paper: average run length relative to the
 // memory size, for RS and three 2WRS configurations, on all six input
 // datasets. The paper uses 100K records of memory and 25M-record inputs;
-// the defaults here scale that down (see DESIGN.md §4) while keeping the
-// input >= 100x memory so the asymptotic regime is preserved. "inf" means
-// a single run holding the entire input.
+// the defaults here scale that down (TWRS_BENCH_SCALE scales back up; see
+// README "Benchmarks") while keeping the input >= 100x memory so the
+// asymptotic regime is preserved. "inf" means a single run holding the
+// entire input.
 
 #include "bench/bench_common.h"
 

@@ -74,8 +74,9 @@ HeapSide HeuristicEngine::ChooseInsertSide(Key key, const InputBuffer* buffer,
       // at its scale (window of 10^3+ records) the two estimators agree,
       // but for small windows the window-only mean wobbles enough to place
       // records near the division into either heap, which poisons the next
-      // run's output bounds (see DESIGN.md §2.1). The pooled estimator is
-      // stable and reproduces every decision in the worked example of §4.5.
+      // run's output bounds: a record placed on the wrong side must later
+      // be diverted or migrated. The pooled estimator is stable and
+      // reproduces every decision in the worked example of §4.5.
       double sum = running_sum_;
       double count = static_cast<double>(running_count_);
       if (buffer != nullptr) {

@@ -59,6 +59,27 @@ inline Key DecodeKey(const uint8_t* in) {
   return static_cast<Key>(u);
 }
 
+/// Serializes keys[0..n) into out[0..n*kRecordBytes) — the bulk form of
+/// EncodeKey behind the block-buffered record writers. On little-endian
+/// hosts the whole batch is one copy, which the compiler vectorizes.
+inline void EncodeKeys(const Key* keys, size_t n, uint8_t* out) {
+#if TWRS_LITTLE_ENDIAN
+  if (n > 0) std::memcpy(out, keys, n * kRecordBytes);
+#else
+  for (size_t i = 0; i < n; ++i) EncodeKey(keys[i], out + i * kRecordBytes);
+#endif
+}
+
+/// Deserializes n records from `in` into keys[0..n) — the bulk form of
+/// DecodeKey behind the block-buffered record readers.
+inline void DecodeKeys(const uint8_t* in, size_t n, Key* keys) {
+#if TWRS_LITTLE_ENDIAN
+  if (n > 0) std::memcpy(keys, in, n * kRecordBytes);
+#else
+  for (size_t i = 0; i < n; ++i) keys[i] = DecodeKey(in + i * kRecordBytes);
+#endif
+}
+
 }  // namespace twrs
 
 #endif  // TWRS_CORE_RECORD_H_

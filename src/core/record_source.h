@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/record.h"
+#include "util/status.h"
 
 namespace twrs {
 
@@ -19,6 +20,12 @@ class RecordSource {
 
   /// Produces the next record in `*key`; returns false at end of stream.
   virtual bool Next(Key* key) = 0;
+
+  /// Health of the stream. Next returns false both at the end and on an
+  /// error, so a consumer that must tell the two apart — the sorter, before
+  /// it opens its output — asks here once Next has returned false. Sources
+  /// that cannot fail keep the OK default.
+  virtual Status status() const { return Status::OK(); }
 };
 
 /// RecordSource over an in-memory vector (test and example helper).

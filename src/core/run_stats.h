@@ -18,7 +18,7 @@ struct RunGenStats {
   uint64_t total_records = 0;
 
   /// 2WRS: records a heap produced that were re-tagged for the next run by
-  /// the divert rule (see DESIGN.md §2.1). Always 0 for RS.
+  /// the divert rule (see TwoWayReplacementSelection). Always 0 for RS.
   uint64_t diverted_next_run = 0;
 
   /// 2WRS: records migrated from one heap to the other on pop because only

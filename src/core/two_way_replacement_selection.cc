@@ -184,8 +184,8 @@ class Engine {
     // The sampled records then return to the heaps split at the gap, and the
     // stream bounds become the gap ends — so the dead zone between the two
     // heap streams is exactly the range the victim buffer covers, no matter
-    // how imperfectly the input heuristic separated the heaps (DESIGN.md
-    // §2.1; the emitted runs match the thesis' §4.5 example).
+    // how imperfectly the input heuristic separated the heaps (the emitted
+    // runs match the thesis' §4.5 example).
     if (victim_.bootstrapping()) {
       victim_.Add(record.key);
       if (victim_.Full()) {
@@ -324,7 +324,8 @@ class Engine {
   uint32_t current_run_ = 0;
 
   // Stream bounds for the current run: stream 4 may accept keys <=
-  // s4_bound_, stream 1 keys >= s1_bound_ (DESIGN.md §2.1).
+  // s4_bound_, stream 1 keys >= s1_bound_. Together they keep the
+  // cross-stream invariant stream4 <= stream3 <= stream2 <= stream1.
   Key s4_bound_ = kKeyMax;
   Key s1_bound_ = kKeyMin;
   bool s4_emitted_ = false;

@@ -60,7 +60,7 @@ struct TwoWayOptions {
 /// heap streams can still emit, emitting streams 3 (increasing) and 2
 /// (decreasing). Each run is the concatenation 4·3·2·1.
 ///
-/// Implementation note (see DESIGN.md §2.1): the cross-stream invariant
+/// Implementation note: the cross-stream invariant
 /// stream4 <= stream3 <= stream2 <= stream1 is enforced explicitly. A popped
 /// record its own stream can no longer accept is routed to the victim
 /// buffer, migrated to the opposite heap when that side's stream still

@@ -25,8 +25,8 @@ namespace twrs {
 ///     future records fit the buffer (§4.3). (The thesis writes the sampled
 ///     records straight to streams; re-inserting them instead keeps the
 ///     dead zone between the heap streams exactly equal to the valid range
-///     even when the input heuristic separated the heaps imperfectly — see
-///     DESIGN.md §2.1. The emitted runs are identical.)
+///     even when the input heuristic separated the heaps imperfectly. The
+///     emitted runs are identical.)
 ///  2. Active: input (or popped) records inside the valid range are absorbed.
 ///     When the buffer fills, it is sorted and split at its largest gap:
 ///     values below go to stream 3 (increasing), values above to stream 2

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "simd/kernels.h"
 
 namespace twrs {
 
@@ -48,7 +47,7 @@ Status RecordWriter::AppendBatch(const Key* keys, size_t n) {
   while (done < n) {
     const size_t room = (buffer_.size() - buffer_used_) / kRecordBytes;
     const size_t take = std::min(room, n - done);
-    simd::EncodeKeysBatch(keys + done, take, buffer_.data() + buffer_used_);
+    EncodeKeys(keys + done, take, buffer_.data() + buffer_used_);
     buffer_used_ += take * kRecordBytes;
     count_ += take;
     done += take;
@@ -139,7 +138,7 @@ Status RecordReader::NextBatch(Key* out, size_t max, size_t* got) {
     }
     const size_t avail = (buffer_size_ - buffer_pos_) / kRecordBytes;
     const size_t take = std::min(avail, max - *got);
-    simd::DecodeKeysBatch(buffer_.data() + buffer_pos_, take, out + *got);
+    DecodeKeys(buffer_.data() + buffer_pos_, take, out + *got);
     buffer_pos_ += take * kRecordBytes;
     *got += take;
   }

@@ -74,12 +74,9 @@ size_t MergePhaseMemoryRecords(const ExternalSortOptions& options) {
   // intermediate passes (worker_threads is 1 in shared-executor mode, so
   // this leg is a floor, not an exact bound). The phase footprint is the
   // wider of the two stages.
-  size_t concurrency =
-      std::max<size_t>(1, options.parallel.final_merge_threads);
-  if (options.parallel.parallel_leaf_merges) {
-    concurrency = std::max(
-        concurrency, std::max<size_t>(1, options.parallel.worker_threads));
-  }
+  const size_t concurrency =
+      std::max({size_t{1}, options.parallel.final_merge_threads,
+                options.parallel.worker_threads});
   return per_merge * concurrency;
 }
 

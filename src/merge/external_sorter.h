@@ -47,16 +47,14 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
 /// defaults the sort is fully serial and behaves exactly as before.
 struct ParallelOptions {
   /// Worker threads in the sort's ThreadPool; 0 disables the pool-based
-  /// features (async run flushing, parallel leaf merges).
+  /// features (async run flushing, concurrent same-level intermediate
+  /// merges, the partitioned final merge).
   size_t worker_threads = 0;
 
   /// Read-ahead blocks kept in flight per merge input stream; 0 disables.
   /// Prefetching uses a dedicated pump thread per open input, not the
   /// pool, so it works with or without worker threads.
   size_t prefetch_blocks = 0;
-
-  /// Dispatch independent same-level intermediate merges onto the pool.
-  bool parallel_leaf_merges = true;
 
   /// Partitions of the final merge pass: > 1 splits the key domain by
   /// sampled splitters and runs that many partial merges concurrently on

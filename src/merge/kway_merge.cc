@@ -1,6 +1,5 @@
 #include "merge/kway_merge.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "merge/loser_tree.h"
@@ -125,237 +124,135 @@ class BatchedMergeProgress {
   uint64_t pending_ = 0;
 };
 
-/// Fan-in at or below which a flat min-scan replaces the loser tree. At
-/// these widths the whole candidate set fits in one or two vector loads,
-/// so a branchless simd::MinIndexN beats the tree's pointer chasing.
-constexpr size_t kSmallMergeFanIn = 8;
-
-/// Small-fan-in merge: live cursors' heads sit in a flat array scanned by
-/// MinIndexN each round. Ties resolve to the lowest array index and
-/// exhausted ways are compacted out preserving order, so the emitted key
-/// sequence is byte-identical to the loser tree's (stable lowest-way
-/// tie-break, see loser_tree.h).
-Status MergeSmallFanIn(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress,
-                       const MergeWindow& window) {
-  Key keys[kSmallMergeFanIn];
-  RunCursor* ways[kSmallMergeFanIn];
-  size_t live = 0;
-  for (auto& cursor : *cursors) {
-    if (cursor->valid()) {
-      keys[live] = cursor->key();
-      ways[live] = cursor.get();
-      ++live;
+/// Small-fan-in selector with the LoserTree interface: live cursors' heads
+/// sit in a flat array scanned by MinIndexN after every change. Ties
+/// resolve to the lowest array index and exhausted ways are compacted out
+/// preserving order, so the selection order is the loser tree's (stable
+/// lowest-way tie-break, see loser_tree.h).
+class FlatSelector {
+ public:
+  explicit FlatSelector(const std::vector<RunCursor>& cursors)
+      : level_(simd::ActiveDispatchLevel()),
+        min_index_(level_ == simd::DispatchLevel::kAvx2
+                       ? simd::internal::MinIndexNAvx2
+                       : simd::internal::MinIndexNScalar) {
+    for (size_t i = 0; i < cursors.size(); ++i) {
+      if (!cursors[i].valid()) continue;
+      keys_[live_] = cursors[i].key();
+      ways_[live_] = i;
+      ++live_;
     }
+    Select();
   }
-  // Resolve dispatch once and batch the call counters: one atomic add for
-  // the whole merge instead of one per selected record.
-  const simd::DispatchLevel level = simd::ActiveDispatchLevel();
-  const auto min_index = level == simd::DispatchLevel::kAvx2
-                             ? simd::internal::MinIndexNAvx2
-                             : simd::internal::MinIndexNScalar;
-  uint64_t selections = 0;
+
+  // Dispatch is resolved once and the call counter batched: one atomic add
+  // for the whole merge instead of one per selected record.
+  ~FlatSelector() {
+    simd::AddKernelCalls(simd::Kernel::kMinIndex, level_, selections_);
+  }
+
+  bool Exhausted() const { return live_ == 0; }
+  size_t WinnerIndex() const { return ways_[winner_]; }
+  Key WinnerKey() const { return keys_[winner_]; }
+
+  void ReplaceWinner(Key key) {
+    keys_[winner_] = key;
+    Select();
+  }
+
+  void RetireWinner() {
+    for (size_t j = winner_ + 1; j < live_; ++j) {
+      keys_[j - 1] = keys_[j];
+      ways_[j - 1] = ways_[j];
+    }
+    --live_;
+    Select();
+  }
+
+ private:
+  void Select() {
+    if (live_ == 0) return;
+    winner_ = min_index_(keys_, live_);
+    ++selections_;
+  }
+
+  const simd::DispatchLevel level_;
+  size_t (*const min_index_)(const Key*, size_t);
+  Key keys_[kSmallMergeFanIn];
+  size_t ways_[kSmallMergeFanIn];
+  size_t live_ = 0;
+  size_t winner_ = 0;
+  uint64_t selections_ = 0;
+};
+
+/// The one merge loop, over either selector. Polls the cancel token every
+/// record, serves `window`, and appends straight into `writer`; `*first`
+/// and `*last` receive the first and last emitted keys.
+template <typename Selector>
+Status MergeLoop(Selector* selector, std::vector<RunCursor>* cursors,
+                 const MergeWindow& window, const MergeIoOptions& io,
+                 RecordWriter* writer, Key* first, Key* last) {
   uint64_t to_skip = window.skip;
   uint64_t remaining = window.limit;
-  Status status = Status::OK();
-  {
-    BatchedMergeProgress batched(progress);
-    while (live > 0 && remaining > 0) {
-      if (IsCancelled(cancel)) {
-        status = Status::Cancelled("merge cancelled");
-        break;
-      }
-      const size_t idx = min_index(keys, live);
-      ++selections;
-      if (to_skip > 0) {
-        --to_skip;
-      } else {
-        status = emit(keys[idx]);
-        if (!status.ok()) break;
-        batched.Tick();
-        --remaining;
-      }
-      status = ways[idx]->Next();
-      if (!status.ok()) break;
-      if (ways[idx]->valid()) {
-        keys[idx] = ways[idx]->key();
-      } else {
-        for (size_t j = idx + 1; j < live; ++j) {
-          keys[j - 1] = keys[j];
-          ways[j - 1] = ways[j];
-        }
-        --live;
-      }
+  BatchedMergeProgress batched(io.progress);
+  while (!selector->Exhausted() && remaining > 0) {
+    if (IsCancelled(io.cancel)) return Status::Cancelled("merge cancelled");
+    const size_t w = selector->WinnerIndex();
+    if (to_skip > 0) {
+      --to_skip;
+    } else {
+      const Key key = selector->WinnerKey();
+      if (remaining == window.limit) *first = key;
+      *last = key;
+      TWRS_RETURN_IF_ERROR(writer->Append(key));
+      batched.Tick();
+      --remaining;
+    }
+    RunCursor& cursor = (*cursors)[w];
+    TWRS_RETURN_IF_ERROR(cursor.Next());
+    if (cursor.valid()) {
+      selector->ReplaceWinner(cursor.key());
+    } else {
+      selector->RetireWinner();
     }
   }
-  simd::AddKernelCalls(simd::Kernel::kMinIndex, level, selections);
-  return status;
+  return Status::OK();
 }
 
 }  // namespace
 
-Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress, const MergeWindow& window) {
-  const size_t k = cursors->size();
-  if (k <= kSmallMergeFanIn) {
-    return MergeSmallFanIn(cursors, cancel, emit, progress, window);
-  }
-  LoserTree tree(k);
-  for (size_t i = 0; i < k; ++i) {
-    if ((*cursors)[i]->valid()) tree.SetInitial(i, (*cursors)[i]->key());
-  }
-  tree.Build();
-  uint64_t to_skip = window.skip;
-  uint64_t remaining = window.limit;
-  BatchedMergeProgress batched(progress);
-  while (!tree.Exhausted() && remaining > 0) {
-    if (IsCancelled(cancel)) {
-      return Status::Cancelled("merge cancelled");
-    }
-    const size_t w = tree.WinnerIndex();
-    if (to_skip > 0) {
-      --to_skip;
-    } else {
-      TWRS_RETURN_IF_ERROR(emit(tree.WinnerKey()));
-      batched.Tick();
-      --remaining;
-    }
-    TWRS_RETURN_IF_ERROR((*cursors)[w]->Next());
-    if ((*cursors)[w]->valid()) {
-      tree.ReplaceWinner((*cursors)[w]->key());
-    } else {
-      tree.RetireWinner();
-    }
-  }
-  return Status::OK();
-}
-
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 const MergeIoOptions& io,
-                 const std::function<Status(Key)>& emit) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (const RunInfo& run : runs) {
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->Init());
-  }
-  return MergeRunCursors(&cursors, io.cancel, emit, io.progress);
-}
-
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 size_t block_bytes,
-                 const std::function<Status(Key)>& emit) {
-  MergeIoOptions io;
-  io.block_bytes = block_bytes;
-  return KWayMerge(env, runs, io, emit);
-}
-
-Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                          const MergeIoOptions& io, const MergeWindow& window,
-                          MergeSink* sink, RunInfo* out) {
+Status Merge(std::vector<RunCursor>* cursors, const MergeWindow& window,
+             const MergeIoOptions& io, MergeSink* sink, RunInfo* out) {
   RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
   TWRS_RETURN_IF_ERROR(writer.status());
-  bool first = true;
-  Key min_key = 0;
-  Key max_key = 0;
-  TWRS_RETURN_IF_ERROR(MergeRunCursors(
-      cursors, io.cancel,
-      [&](Key key) {
-        if (first) {
-          min_key = key;
-          first = false;
-        }
-        max_key = key;
-        return writer.Append(key);
-      },
-      io.progress, window));
+  Key first = 0;
+  Key last = 0;
+  const size_t k = cursors->size();
+  if (k <= kSmallMergeFanIn) {
+    FlatSelector selector(*cursors);
+    TWRS_RETURN_IF_ERROR(
+        MergeLoop(&selector, cursors, window, io, &writer, &first, &last));
+  } else {
+    LoserTree tree(k);
+    for (size_t i = 0; i < k; ++i) {
+      if ((*cursors)[i].valid()) tree.SetInitial(i, (*cursors)[i].key());
+    }
+    tree.Build();
+    TWRS_RETURN_IF_ERROR(
+        MergeLoop(&tree, cursors, window, io, &writer, &first, &last));
+  }
   TWRS_RETURN_IF_ERROR(writer.Finish());
   if (out != nullptr) {
     RunInfo info;
     RunSegment seg;
-    seg.reverse = false;
     seg.count = writer.count();
     info.segments.push_back(std::move(seg));
     info.length = writer.count();
-    info.min_key = min_key;
-    info.max_key = max_key;
+    info.min_key = first;
+    info.max_key = last;
     *out = std::move(info);
   }
   return Status::OK();
-}
-
-Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io, MergeSink* sink,
-                       RunInfo* out) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (const RunInfo& run : runs) {
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->Init());
-  }
-  return MergeCursorsToSink(&cursors, io, MergeWindow(), sink, out);
-}
-
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out) {
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                           io.async_buffer_bytes, &sink,
-                                           io.flush_histogram,
-                                           io.sync_output));
-  TWRS_RETURN_IF_ERROR(KWayMergeToSink(env, runs, io, sink.get(), out));
-  if (out != nullptr) out->segments[0].path = output_path;
-  return Status::OK();
-}
-
-Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
-                            const MergeIoOptions& io, uint64_t limit,
-                            bool take_last, const std::string& output_path,
-                            RunInfo* out) {
-  if (limit == 0) return KWayMergeToFile(env, runs, io, output_path, out);
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  uint64_t sliced_total = 0;
-  for (const RunInfo& run : runs) {
-    // Only a run's own first (or last) `limit` records can appear in the
-    // kept window of the merged stream: each is preceded (followed) within
-    // its run by enough records to push the rest out. The clamp is pure
-    // segment metadata — the dropped prefix/suffix is never read.
-    const uint64_t keep = std::min<uint64_t>(run.length, limit);
-    if (keep == 0) continue;
-    const uint64_t skip = take_last ? run.length - keep : 0;
-    cursors.push_back(std::make_unique<RunCursor>(env, run, io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip, keep));
-    sliced_total += keep;
-  }
-  MergeWindow window;
-  window.limit = limit;
-  if (take_last && sliced_total > limit) window.skip = sliced_total - limit;
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                           io.async_buffer_bytes, &sink,
-                                           io.flush_histogram,
-                                           io.sync_output));
-  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(&cursors, io, window, sink.get(),
-                                          out));
-  if (out != nullptr) out->segments[0].path = output_path;
-  return Status::OK();
-}
-
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       size_t block_bytes, const std::string& output_path,
-                       RunInfo* out) {
-  MergeIoOptions io;
-  io.block_bytes = block_bytes;
-  return KWayMergeToFile(env, runs, io, output_path, out);
 }
 
 Status RemoveRunFiles(Env* env, const RunInfo& run) {

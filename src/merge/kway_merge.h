@@ -1,19 +1,17 @@
 #ifndef TWRS_MERGE_KWAY_MERGE_H_
 #define TWRS_MERGE_KWAY_MERGE_H_
 
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/record.h"
 #include "core/run_sink.h"
-#include "exec/async_io.h"
 #include "exec/thread_pool.h"
 #include "io/env.h"
 #include "io/merge_sink.h"
 #include "io/record_io.h"
 #include "io/reverse_run_file.h"
+#include "obs/latency_histogram.h"
 #include "obs/progress.h"
 #include "util/cancel.h"
 #include "util/status.h"
@@ -29,12 +27,9 @@ struct MergeIoOptions {
   /// Reverse-format segments use positioned reads and stay synchronous.
   size_t prefetch_blocks = 0;
 
-  /// When non-null, the merge output is written through an AsyncWritableFile
-  /// flushed on this pool, overlapping loser-tree work with output I/O.
+  /// When non-null, merge outputs are flushed in the background on this
+  /// pool, overlapping loser-tree work with output I/O.
   ThreadPool* pool = nullptr;
-
-  /// Size of each half of the output writer's async double buffer.
-  size_t async_buffer_bytes = kDefaultAsyncBufferBytes;
 
   /// Cooperative cancellation: when non-null, the merge loop polls the
   /// token every record and unwinds with Status::Cancelled once it fires.
@@ -46,16 +41,9 @@ struct MergeIoOptions {
   /// `progress->AddRecordsMerged`. Must outlive the merge.
   ProgressCounters* progress = nullptr;
 
-  /// When non-null, the wall time of every flush of the merge output is
-  /// recorded here (see MakeAppendMergeSink/RangeMergeSink). Must outlive
-  /// the merge.
+  /// When non-null, the wall time of every flush of a merge output is
+  /// recorded here. Must outlive the merge.
   LatencyHistogram* flush_histogram = nullptr;
-
-  /// Force the merge output to stable storage (Sync) before it is closed.
-  /// Set only on the final pass writing the user-visible output;
-  /// intermediate runs are re-read and deleted, so syncing them would buy
-  /// nothing but write stalls.
-  bool sync_output = false;
 };
 
 /// Streaming cursor over one generated run: iterates its segments in order,
@@ -113,82 +101,31 @@ inline constexpr uint64_t kMergeNoLimit = ~uint64_t{0};
 /// the merge order, then emit at most `limit`. The merge loop stops dead
 /// once the window is served — with a limit of K, a top-K merge does k-way
 /// work proportional to skip+K, not to the input volume. Skipped records
-/// are merged (their cursors advance) but never reach emit, the writer, or
+/// are merged (their cursors advance) but never reach the sink or the
 /// progress counters. The default window is the whole stream.
 struct MergeWindow {
   uint64_t skip = 0;
   uint64_t limit = kMergeNoLimit;
-
-  bool whole() const { return skip == 0 && limit == kMergeNoLimit; }
 };
 
-/// Runs the loser tree over already-initialized cursors, emitting the
-/// merged non-decreasing key stream. The shared core of KWayMerge and the
-/// partitioned final merge's ranged partial merges. Polls `cancel` (when
-/// non-null) every record. A non-null `progress` receives every emitted
-/// record via AddRecordsMerged, batched so the per-record cost is a local
-/// increment; the remainder is flushed on every exit path. `window`
-/// restricts emission to a slice of the merge order (top-K and clamped
-/// partition merges); both the small-fan-in and loser-tree paths honor it.
-Status MergeRunCursors(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                       const CancelToken* cancel,
-                       const std::function<Status(Key)>& emit,
-                       ProgressCounters* progress = nullptr,
-                       const MergeWindow& window = MergeWindow());
+/// Fan-in at or below which Merge selects with a flat simd::MinIndexN scan
+/// instead of the loser tree: at these widths the whole candidate set fits
+/// in one or two vector loads, which beats the tree's pointer chasing.
+inline constexpr size_t kSmallMergeFanIn = 8;
 
-/// Merges `runs` into a single non-decreasing stream delivered to `emit`
-/// (§2.1.2, k-way merge over a loser tree). `io.block_bytes` is the read
-/// buffer per run — the per-run merge buffer of the paper's setup.
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 const MergeIoOptions& io,
-                 const std::function<Status(Key)>& emit);
-
-/// Synchronous-I/O shorthand for the overload above.
-Status KWayMerge(Env* env, const std::vector<RunInfo>& runs,
-                 size_t block_bytes,
-                 const std::function<Status(Key)>& emit);
-
-/// Merges `runs` through the loser tree into `sink` (record-encoded,
-/// block-buffered). Finishes the sink, so a RangeMergeSink's exact-fill
-/// check runs before this returns. `*out` (if non-null) receives the
-/// record count and key bounds; its segment path is left empty for the
-/// caller, who knows the backing file.
-Status KWayMergeToSink(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io, MergeSink* sink,
-                       RunInfo* out);
-
-/// Merges already-initialized (possibly sliced) cursors into `sink`,
-/// emitting only `window` of the merge order. The record-encoding core
-/// shared by KWayMergeToSink, the limit-aware merges, and the pruned
-/// final merge; same sink/out contract as KWayMergeToSink.
-Status MergeCursorsToSink(std::vector<std::unique_ptr<RunCursor>>* cursors,
-                          const MergeIoOptions& io, const MergeWindow& window,
-                          MergeSink* sink, RunInfo* out);
-
-/// Top-K merge pass: merges `runs` into `output_path` keeping only the
-/// first (take_last = false) or last (take_last = true) `limit` records of
-/// the merged stream. Before merging, each input cursor is clamped to the
-/// `limit`-record prefix (or suffix) of its run using segment metadata
-/// only — no record of a run beyond its own first/last K can survive any
-/// superset merge, so the rest is never read. A limit of 0 means no limit
-/// (plain KWayMergeToFile). Intermediate merge passes of a limited sort
-/// use this, so every pass writes at most `limit` records.
-Status KWayMergeLimitToFile(Env* env, const std::vector<RunInfo>& runs,
-                            const MergeIoOptions& io, uint64_t limit,
-                            bool take_last, const std::string& output_path,
-                            RunInfo* out);
-
-/// Convenience overload merging into a record file at `output_path`
-/// through an AppendMergeSink (async-flushed when io.pool is set);
-/// returns the resulting single run through `*out` if non-null.
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       const MergeIoOptions& io,
-                       const std::string& output_path, RunInfo* out);
-
-/// Synchronous-I/O shorthand for the overload above.
-Status KWayMergeToFile(Env* env, const std::vector<RunInfo>& runs,
-                       size_t block_bytes, const std::string& output_path,
-                       RunInfo* out);
+/// The k-way merge (§2.1.2): merges already-initialized (possibly sliced,
+/// see RunCursor::InitSlice) cursors into `sink` as one non-decreasing
+/// record stream, emitting only `window` of the merge order. Selects the
+/// next record with a flat MinIndexN scan up to kSmallMergeFanIn cursors
+/// and with a loser tree above; both break ties toward the lowest cursor
+/// index, so the output bytes never depend on the selector. `io` supplies
+/// the output buffer size, cancellation and progress. Finishes the sink,
+/// so a RangeMergeSink's exact-fill check runs before this returns.
+/// `*out` (if non-null) receives the record count and key bounds as a
+/// one-segment run whose path is left empty for the caller, who knows the
+/// backing file.
+Status Merge(std::vector<RunCursor>* cursors, const MergeWindow& window,
+             const MergeIoOptions& io, MergeSink* sink, RunInfo* out);
 
 /// Deletes every physical file of a run (reverse segments span several).
 Status RemoveRunFiles(Env* env, const RunInfo& run);

@@ -6,16 +6,23 @@
 #include <vector>
 
 #include "core/run_sink.h"
-#include "exec/thread_pool.h"
 #include "io/env.h"
-#include "io/record_io.h"
-#include "merge/partitioned_merge.h"
-#include "obs/latency_histogram.h"
-#include "obs/progress.h"
-#include "util/cancel.h"
+#include "merge/kway_merge.h"
 #include "util/status.h"
 
 namespace twrs {
+
+/// Where the final merge puts its bytes. In append mode (the default) the
+/// merge creates `output_path`. In positioned mode it writes into
+/// [offset, offset + `length`) of the *existing* file at `output_path`
+/// via RandomRWFile::WriteAt without truncating — the sharded sorter's
+/// direct-write final pass, where every shard's merge owns one range of
+/// the shared output.
+struct MergeOutputRange {
+  bool positioned = false;
+  uint64_t offset = 0;
+  uint64_t length = 0;  ///< exact bytes the merge must produce
+};
 
 /// Options for the multi-pass merge phase (§2.1.2 / §6.1.1).
 struct MergeOptions {
@@ -23,8 +30,14 @@ struct MergeOptions {
   /// 10 on its disk, Fig 6.1).
   size_t fan_in = 10;
 
-  /// Read/write buffer per stream.
-  size_t block_bytes = kDefaultBlockBytes;
+  /// Buffers, cancellation, progress and flush timing of every merge pass.
+  /// A non-null `io.pool` (which must outlive the merge) also dispatches
+  /// independent same-level intermediate merges onto it concurrently —
+  /// batch composition matches the serial schedule exactly, so stats and
+  /// output are identical — and hosts the partitioned final merge. The Env
+  /// must then be safe for concurrent file creation/removal (PosixEnv,
+  /// MemEnv and SimDiskEnv all are).
+  MergeIoOptions io;
 
   /// Directory for intermediate runs.
   std::string temp_dir = ".";
@@ -35,24 +48,6 @@ struct MergeOptions {
   /// Delete input and intermediate runs once consumed.
   bool remove_inputs = true;
 
-  /// Execution pool for the parallel knobs below; null means fully serial.
-  /// Must outlive the merge. The Env must then be safe for concurrent file
-  /// creation/removal (PosixEnv, MemEnv and SimDiskEnv all are).
-  ThreadPool* pool = nullptr;
-
-  /// Read-ahead blocks per forward input stream (0 = synchronous reads).
-  size_t prefetch_blocks = 0;
-
-  /// Dispatch independent same-level intermediate merges onto `pool`
-  /// concurrently. Batch composition matches the serial schedule exactly,
-  /// so stats and output are identical to a serial merge.
-  bool parallel_leaf_merges = false;
-
-  /// Cooperative cancellation: polled between merge steps and, through
-  /// MergeIoOptions, every record inside each k-way merge. Must outlive
-  /// the merge.
-  const CancelToken* cancel = nullptr;
-
   /// Partitions of the *final* merge step. Values > 1 (with a pool) split
   /// the key domain by sampled splitters and run that many partial
   /// loser-tree merges concurrently, each writing its disjoint byte range
@@ -62,30 +57,11 @@ struct MergeOptions {
   /// pass still counts as one merge step writing every record once.
   size_t final_merge_threads = 1;
 
-  /// Splitter sampling knobs of the partitioned final merge.
-  size_t final_sample_size = 256;
-  uint64_t final_sample_seed = 1;
-
   /// Output placement of the final step. Default: append-create
   /// `output_path`. Positioned mode writes into the caller-assigned byte
   /// range of the *existing* output without truncating it — how each
   /// shard's merge lands directly in the sharded sorter's shared output.
   MergeOutputRange output_range;
-
-  /// Force the final output to stable storage (Sync) before it is closed,
-  /// closing the durability gap between "sort returned OK" and "the page
-  /// cache got around to writing". Applies to the final pass only;
-  /// intermediate runs are scratch and never synced. No-op on MemEnv and
-  /// SimDiskEnv.
-  bool sync_output = true;
-
-  /// Live progress: every record emitted by any merge pass is added (in
-  /// batches) to `progress->AddRecordsMerged`. Must outlive the merge.
-  ProgressCounters* progress = nullptr;
-
-  /// When non-null, every flush of a merge output file records its wall
-  /// time here. Must outlive the merge.
-  LatencyHistogram* flush_histogram = nullptr;
 
   /// Top-K: when non-zero every merge pass keeps only `limit` records of
   /// its merged stream — the first (limit_last = false) or the last
@@ -94,7 +70,8 @@ struct MergeOptions {
   /// final pass additionally prunes whole runs via sampled key bounds, so
   /// a limited merge reads strictly less than a full one whenever pruning
   /// bites. The output is the same bytes a full merge followed by
-  /// head/tail truncation would produce.
+  /// head/tail truncation would produce. In positioned mode
+  /// output_range.length must equal min(limit, total) records.
   uint64_t limit = 0;
   bool limit_last = false;
 };
@@ -117,6 +94,17 @@ struct MergeStats {
 /// remains, written to `output_path`. Runs are consumed in FIFO order, so
 /// every record participates in roughly ceil(log_fanin(#runs)) passes.
 /// With zero input runs an empty output file is produced.
+///
+/// The final pass is one Merge, or — with a pool and
+/// final_merge_threads > 1 — that many concurrent partial merges over
+/// key-domain slices, each writing its disjoint byte range of the output.
+/// Output bytes are identical in every mode (records are bare keys, so the
+/// fully sorted stream is unique). Only the final pass syncs its output to
+/// stable storage; intermediate runs are scratch, re-read and deleted. On
+/// a failed partitioned pass an output file this call created is removed
+/// — a torn positioned file has holes, unlike the append path's clean
+/// prefix — while a shared positioned output is left to its creator's
+/// cleanup.
 Status MergeRuns(Env* env, std::vector<RunInfo> runs,
                  const MergeOptions& options, const std::string& output_path,
                  MergeStats* stats);

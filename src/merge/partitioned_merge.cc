@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <utility>
 
-#include "io/merge_sink.h"
 #include "io/reverse_run_file.h"
 #include "shard/splitters.h"
-#include "simd/kernels.h"
 
 namespace twrs {
 
@@ -85,7 +82,7 @@ class ForwardSegmentSearcher {
     // Decode the whole block once; the binary searches then compare native
     // keys instead of re-decoding a record per probe.
     cache_keys_.resize(records);
-    simd::DecodeKeysBatch(cache_.data(), records, cache_keys_.data());
+    DecodeKeys(cache_.data(), records, cache_keys_.data());
     cached_block_ = static_cast<int64_t>(block);
     return Status::OK();
   }
@@ -98,184 +95,6 @@ class ForwardSegmentSearcher {
   std::vector<Key> cache_keys_;
   int64_t cached_block_ = -1;
 };
-
-/// One run's slice of a partition: `skip` records in, `length` records long.
-struct RunSlice {
-  uint64_t skip = 0;
-  uint64_t length = 0;
-};
-
-/// Merges one partition: every run's slice for partition `j`, written to
-/// its byte range of the shared output through `sink`. `window` restricts
-/// emission to a slice of the partition's merge order — how a limited
-/// merge clamps the partition straddling the K-record boundary.
-Status MergePartition(Env* env, const std::vector<RunInfo>& runs,
-                      const std::vector<RunSlice>& slices,
-                      const MergeIoOptions& io, const MergeWindow& window,
-                      MergeSink* sink) {
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(runs.size());
-  for (size_t r = 0; r < runs.size(); ++r) {
-    if (slices[r].length == 0) continue;
-    cursors.push_back(std::make_unique<RunCursor>(env, runs[r],
-                                                  io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(
-        cursors.back()->InitSlice(slices[r].skip, slices[r].length));
-  }
-  RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
-  TWRS_RETURN_IF_ERROR(writer.status());
-  TWRS_RETURN_IF_ERROR(MergeRunCursors(
-      &cursors, io.cancel, [&](Key key) { return writer.Append(key); },
-      io.progress, window));
-  return writer.Finish();
-}
-
-/// The serial limited final merge. Clamps every run to the `kept`-record
-/// prefix (suffix for take_last) that can still matter, then tightens the
-/// clamps with sampled key bounds: the smallest sampled key with >= kept
-/// records strictly below it bounds the ascending selection from above,
-/// so each run needs only its records below it — and a run with none is
-/// pruned outright, its files never opened. (Mirrored around >= for
-/// take_last.) The bound is an optimization, never a correctness
-/// requirement: the merge window serves exactly `kept` records from
-/// whatever survives the clamps.
-Status PrunedSerialMerge(Env* env, const std::vector<RunInfo>& runs,
-                         const MergeIoOptions& io, const FinalMergeSpec& spec,
-                         uint64_t kept, uint64_t total_records,
-                         const std::string& output_path, RunInfo* out) {
-  const size_t n = runs.size();
-  std::vector<uint64_t> skip(n, 0);
-  std::vector<uint64_t> keep(n, 0);
-  for (size_t r = 0; r < n; ++r) {
-    keep[r] = std::min<uint64_t>(runs[r].length, kept);
-    skip[r] = spec.take_last ? runs[r].length - keep[r] : 0;
-  }
-  if (n > 1) {
-    // Candidate bounds: a modest sample is plenty — any candidate that
-    // qualifies prunes correctly, a missed tighter bound only costs I/O.
-    std::vector<Key> sample;
-    TWRS_RETURN_IF_ERROR(SampleRunKeys(env, runs,
-                                       std::min<size_t>(spec.sample_size, 64),
-                                       spec.sample_seed, &sample));
-    std::sort(sample.begin(), sample.end());
-    sample.erase(std::unique(sample.begin(), sample.end()), sample.end());
-    // Probing a candidate costs I/O in every run (a block binary search
-    // per forward segment, a bounded ascending scan per reverse segment),
-    // and that cost grows with the candidate's distance from the boundary
-    // end of the key space. So probe outward from that end in doubling
-    // chunks and stop at the first candidate that qualifies — it is the
-    // tightest qualifying bound in the whole sample, and candidates far
-    // from the boundary are never touched when a near one qualifies. If
-    // none qualifies the clamps stand unrefined; the merge window still
-    // serves exactly `kept` records either way.
-    size_t begin = 0;
-    size_t chunk = 8;
-    bool refined = false;
-    while (begin < sample.size() && !refined) {
-      const size_t end = std::min(sample.size(), begin + chunk);
-      std::vector<Key> probe;
-      if (!spec.take_last) {
-        probe.assign(sample.begin() + static_cast<ptrdiff_t>(begin),
-                     sample.begin() + static_cast<ptrdiff_t>(end));
-      } else {
-        probe.assign(sample.end() - static_cast<ptrdiff_t>(end),
-                     sample.end() - static_cast<ptrdiff_t>(begin));
-      }
-      std::vector<std::vector<uint64_t>> below(n);
-      for (size_t r = 0; r < n; ++r) {
-        TWRS_RETURN_IF_ERROR(PartitionPointsForRun(env, runs[r], probe,
-                                                   io.block_bytes,
-                                                   &below[r]));
-      }
-      std::vector<uint64_t> total_below(probe.size(), 0);
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t s = 0; s < probe.size(); ++s) {
-          total_below[s] += below[r][s];
-        }
-      }
-      if (!spec.take_last) {
-        for (size_t s = 0; s < probe.size(); ++s) {
-          if (total_below[s] >= kept) {
-            // Every kept record is strictly below probe[s].
-            for (size_t r = 0; r < n; ++r) {
-              keep[r] = std::min<uint64_t>(keep[r], below[r][s]);
-            }
-            refined = true;
-            break;
-          }
-        }
-      } else {
-        for (size_t s = probe.size(); s-- > 0;) {
-          if (total_records - total_below[s] >= kept) {
-            // Every kept record is at or above probe[s].
-            for (size_t r = 0; r < n; ++r) {
-              skip[r] = std::max<uint64_t>(skip[r], below[r][s]);
-              keep[r] = runs[r].length - skip[r];
-            }
-            refined = true;
-            break;
-          }
-        }
-      }
-      begin = end;
-      chunk *= 2;
-    }
-  }
-
-  MergePruneStats prune;
-  std::vector<std::unique_ptr<RunCursor>> cursors;
-  cursors.reserve(n);
-  uint64_t sliced_total = 0;
-  for (size_t r = 0; r < n; ++r) {
-    prune.records_pruned += runs[r].length - keep[r];
-    if (keep[r] == 0) {
-      if (runs[r].length > 0) ++prune.runs_pruned;
-      continue;
-    }
-    cursors.push_back(std::make_unique<RunCursor>(env, runs[r],
-                                                  io.block_bytes,
-                                                  io.prefetch_blocks));
-    TWRS_RETURN_IF_ERROR(cursors.back()->InitSlice(skip[r], keep[r]));
-    sliced_total += keep[r];
-  }
-  MergeWindow window;
-  window.limit = kept;
-  if (spec.take_last && sliced_total > kept) {
-    window.skip = sliced_total - kept;
-  }
-
-  std::unique_ptr<MergeSink> sink;
-  if (spec.range.positioned) {
-    TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(env, output_path,
-                                            spec.range.offset,
-                                            spec.range.length, io.pool,
-                                            io.async_buffer_bytes, &sink,
-                                            io.flush_histogram,
-                                            io.sync_output));
-  } else {
-    TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, output_path, io.pool,
-                                             io.async_buffer_bytes, &sink,
-                                             io.flush_histogram,
-                                             io.sync_output));
-  }
-  TWRS_RETURN_IF_ERROR(MergeCursorsToSink(&cursors, io, window, sink.get(),
-                                          out));
-  if (out != nullptr) out->segments[0].path = output_path;
-  if (spec.prune != nullptr) *spec.prune = prune;
-  return Status::OK();
-}
-
-/// Key bounds across runs, from the exact per-run metadata.
-void RunBounds(const std::vector<RunInfo>& runs, Key* min_key, Key* max_key) {
-  bool first = true;
-  for (const RunInfo& run : runs) {
-    if (run.length == 0) continue;
-    if (first || run.min_key < *min_key) *min_key = run.min_key;
-    if (first || run.max_key > *max_key) *max_key = run.max_key;
-    first = false;
-  }
-}
 
 }  // namespace
 
@@ -357,209 +176,6 @@ Status SampleRunKeys(Env* env, const std::vector<RunInfo>& runs,
     }
   }
   *sample = sampler.sample();
-  return Status::OK();
-}
-
-Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
-                          const MergeIoOptions& io, const FinalMergeSpec& spec,
-                          const std::string& output_path, RunInfo* out) {
-  uint64_t total_records = 0;
-  for (const RunInfo& run : runs) total_records += run.length;
-  // A limit of 0 means no limit; a limit >= the input is a full merge.
-  const uint64_t kept = spec.limit > 0
-                            ? std::min<uint64_t>(spec.limit, total_records)
-                            : total_records;
-  const bool limited = kept < total_records;
-  const uint64_t kept_bytes = kept * kRecordBytes;
-  if (spec.prune != nullptr) *spec.prune = MergePruneStats();
-  if (spec.range.positioned && spec.range.length != kept_bytes) {
-    return Status::Corruption(
-        "final merge produces " + std::to_string(kept_bytes) +
-        " bytes but was assigned a range of " +
-        std::to_string(spec.range.length));
-  }
-
-  // Decide the effective partition count. Everything that degenerates —
-  // no pool, one run, tiny inputs, splitters collapsed by skew — falls
-  // back to a single merge, which is always correct. Splitter sampling
-  // and boundary location cost positioned probes (seeks on a spinning
-  // disk), a fixed cost per partition: a partition must span at least a
-  // few I/O blocks to amortize it, so the requested count is clamped to
-  // what the data volume supports before any probe is paid.
-  std::vector<Key> splitters;
-  size_t partitions_wanted = 0;
-  if (spec.partitions > 1 && spec.pool != nullptr && runs.size() > 1) {
-    const uint64_t min_partition_bytes =
-        16 * std::max<size_t>(1, io.block_bytes);
-    // For a limited merge the volume that gets written is the kept window,
-    // so that is what partitioning must amortize over — a small K always
-    // degenerates to the (pruned) serial merge.
-    partitions_wanted = static_cast<size_t>(
-        std::min<uint64_t>(spec.partitions,
-                           kept_bytes / min_partition_bytes));
-  }
-  if (partitions_wanted > 1) {
-    // More probes than ~64 per splitter stop improving balance; tying the
-    // sample to the clamped partition count keeps the fixed seek cost
-    // proportional to the parallelism actually bought.
-    const size_t sample_size =
-        std::min<size_t>(spec.sample_size, 64 * partitions_wanted);
-    std::vector<Key> sample;
-    TWRS_RETURN_IF_ERROR(SampleRunKeys(env, runs, sample_size,
-                                       spec.sample_seed, &sample));
-    splitters = PickSplitters(std::move(sample), partitions_wanted);
-  }
-
-  if (splitters.empty()) {
-    if (limited) {
-      return PrunedSerialMerge(env, runs, io, spec, kept, total_records,
-                               output_path, out);
-    }
-    if (!spec.range.positioned) {
-      return KWayMergeToFile(env, runs, io, output_path, out);
-    }
-    std::unique_ptr<MergeSink> sink;
-    TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(env, output_path,
-                                            spec.range.offset,
-                                            spec.range.length, io.pool,
-                                            io.async_buffer_bytes, &sink,
-                                            io.flush_histogram,
-                                            io.sync_output));
-    TWRS_RETURN_IF_ERROR(KWayMergeToSink(env, runs, io, sink.get(), out));
-    if (out != nullptr) out->segments[0].path = output_path;
-    return Status::OK();
-  }
-
-  // Exact slice boundaries: for each run, the record index where every
-  // splitter's key domain begins. Runs are independent, and the
-  // reverse-segment path is a real sequential scan (it cannot stop before
-  // the largest splitter), so the per-run searches fan out on the pool
-  // instead of running serially in front of the partial merges.
-  const size_t partitions = splitters.size() + 1;
-  std::vector<std::vector<uint64_t>> below(runs.size());
-  {
-    std::vector<TaskHandle> boundary_tasks;
-    boundary_tasks.reserve(runs.size());
-    for (size_t r = 0; r < runs.size(); ++r) {
-      const RunInfo* run = &runs[r];
-      std::vector<uint64_t>* run_below = &below[r];
-      boundary_tasks.push_back(
-          spec.pool->Submit([env, run, &splitters, &io, run_below] {
-            return PartitionPointsForRun(env, *run, splitters,
-                                         io.block_bytes, run_below);
-          }));
-    }
-    Status first_error;
-    for (TaskHandle& handle : boundary_tasks) {
-      Status s = handle.Wait();
-      if (!s.ok() && first_error.ok()) first_error = std::move(s);
-    }
-    TWRS_RETURN_IF_ERROR(first_error);
-  }
-  std::vector<std::vector<RunSlice>> slices(partitions);
-  std::vector<uint64_t> partition_records(partitions, 0);
-  for (size_t j = 0; j < partitions; ++j) {
-    slices[j].resize(runs.size());
-    for (size_t r = 0; r < runs.size(); ++r) {
-      const uint64_t lo = j == 0 ? 0 : below[r][j - 1];
-      const uint64_t hi = j + 1 == partitions ? runs[r].length : below[r][j];
-      slices[j][r].skip = lo;
-      slices[j][r].length = hi - lo;
-      partition_records[j] += hi - lo;
-    }
-  }
-
-  bool created = false;
-  if (!spec.range.positioned) {
-    // Truncate-create the shared output exactly once; every partition then
-    // reopens it and extends it by writing its range.
-    std::unique_ptr<RandomRWFile> file;
-    TWRS_RETURN_IF_ERROR(env->NewRandomRWFile(output_path, &file));
-    TWRS_RETURN_IF_ERROR(file->Close());
-    created = true;
-  }
-
-  // The kept window of the merged stream in record coordinates; a full
-  // merge keeps everything. Partitions wholly outside the window are
-  // dropped — their runs' slices are never read, which is the partitioned
-  // form of run pruning — and the straddling partition merges with a
-  // window that clamps it to the K-record boundary.
-  const uint64_t win_lo = spec.take_last ? total_records - kept : 0;
-  const uint64_t win_hi = win_lo + kept;
-  MergePruneStats prune;
-  std::vector<bool> run_used(runs.size(), false);
-
-  std::vector<TaskHandle> handles;
-  handles.reserve(partitions);
-  std::vector<MergeWindow> windows(partitions);
-  uint64_t cum = 0;
-  Status first_error;
-  for (size_t j = 0; j < partitions; ++j) {
-    const uint64_t p_lo = cum;
-    const uint64_t p_hi = cum + partition_records[j];
-    cum = p_hi;
-    const uint64_t inter_lo = std::max<uint64_t>(p_lo, win_lo);
-    const uint64_t inter_hi = std::min<uint64_t>(p_hi, win_hi);
-    if (inter_lo >= inter_hi) {
-      prune.records_pruned += partition_records[j];
-      continue;
-    }
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (slices[j][r].length > 0) run_used[r] = true;
-    }
-    windows[j].skip = inter_lo - p_lo;
-    windows[j].limit = inter_hi - inter_lo;
-    const uint64_t length = windows[j].limit * kRecordBytes;
-    const uint64_t partition_offset =
-        spec.range.offset + (inter_lo - win_lo) * kRecordBytes;
-    const MergeWindow* window = &windows[j];
-    const std::vector<RunSlice>* partition_slices = &slices[j];
-    handles.push_back(spec.pool->Submit(
-        [env, &runs, partition_slices, &io, &output_path, partition_offset,
-         length, window] {
-          std::unique_ptr<MergeSink> sink;
-          TWRS_RETURN_IF_ERROR(MakeRangeMergeSink(
-              env, output_path, partition_offset, length, io.pool,
-              io.async_buffer_bytes, &sink, io.flush_histogram,
-              io.sync_output));
-          return MergePartition(env, runs, *partition_slices, io, *window,
-                                sink.get());
-        }));
-  }
-  // Collect every partial merge before reporting the first failure, so no
-  // task still references local state when this frame unwinds.
-  for (TaskHandle& handle : handles) {
-    Status s = handle.Wait();
-    if (!s.ok() && first_error.ok()) first_error = std::move(s);
-  }
-  if (!first_error.ok()) {
-    // A torn positioned file has holes rather than a clean prefix; remove
-    // it when this call created it (a shared output belongs to its
-    // creator's cleanup).
-    if (created) TWRS_IGNORE_STATUS(env->RemoveFile(output_path));
-    return first_error;
-  }
-
-  if (limited && spec.prune != nullptr) {
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (!run_used[r] && runs[r].length > 0) ++prune.runs_pruned;
-    }
-    *spec.prune = prune;
-  }
-  if (out != nullptr) {
-    RunInfo info;
-    RunSegment seg;
-    seg.path = output_path;
-    seg.reverse = false;
-    seg.count = kept;
-    info.segments.push_back(std::move(seg));
-    info.length = kept;
-    // Exact for a full merge; for a limited one these metadata bounds of
-    // the inputs merely over-cover the kept window, which is all the
-    // final output's consumers need.
-    RunBounds(runs, &info.min_key, &info.max_key);
-    *out = std::move(info);
-  }
   return Status::OK();
 }
 

@@ -7,63 +7,15 @@
 
 #include "core/record.h"
 #include "core/run_sink.h"
-#include "exec/thread_pool.h"
 #include "io/env.h"
-#include "merge/kway_merge.h"
 #include "util/status.h"
 
 namespace twrs {
 
-/// Where a final merge puts its bytes. In append mode (the default) the
-/// merge creates `output_path`. In positioned mode it writes into
-/// [offset, offset + `length`) of the *existing* file at `output_path`
-/// via RandomRWFile::WriteAt without truncating — the sharded sorter's
-/// direct-write final pass, where every shard's merge owns one range of
-/// the shared output.
-struct MergeOutputRange {
-  bool positioned = false;
-  uint64_t offset = 0;
-  uint64_t length = 0;  ///< exact bytes the merge must produce
-};
-
-/// What a limited (top-K) final merge avoided: whole runs never opened
-/// because pruning proved they cannot reach the kept window, and records
-/// excluded from the merge by slicing or partition pruning — records that
-/// were never read, which is where the I/O savings come from.
-struct MergePruneStats {
-  uint64_t runs_pruned = 0;
-  uint64_t records_pruned = 0;
-};
-
-/// Configuration of one final merge step (the last pass of MergeRuns).
-struct FinalMergeSpec {
-  MergeOutputRange range;
-
-  /// Target number of concurrent partial merges; values < 2 (or a null
-  /// pool, or degenerate splitters) fall back to one serial merge.
-  size_t partitions = 1;
-
-  /// Splitter sampling knobs. Sampling probes forward segments with
-  /// positioned reads, so it costs seeks, not a data pass.
-  size_t sample_size = 256;
-  uint64_t sample_seed = 1;
-
-  /// Pool the partial merges (and their sinks' background flushes) run on.
-  ThreadPool* pool = nullptr;
-
-  /// Top-K: when non-zero only `limit` records are written — the first of
-  /// the merged stream (take_last = false) or the last (take_last = true).
-  /// The serial path prunes whole runs whose sampled key bounds put them
-  /// past the K-th record and clamps the rest to the K-record prefix or
-  /// suffix that can still matter; the partitioned path drops partitions
-  /// wholly outside the kept window and clamps the straddling one. In
-  /// positioned mode range.length must equal min(limit, total) records.
-  uint64_t limit = 0;
-  bool take_last = false;
-
-  /// Receives what a limited merge pruned, when non-null.
-  MergePruneStats* prune = nullptr;
-};
+// Key-domain splitting of the partitioned final merge (see MergeRuns):
+// splitter candidates are sampled from the runs, and every run's exact
+// split positions are located, so each partition owns an exact byte range
+// of the output.
 
 /// Computes, for each splitter, how many records of `run` hold keys
 /// strictly below it (`below->at(s)` for splitters[s], which must be
@@ -82,19 +34,6 @@ Status PartitionPointsForRun(Env* env, const RunInfo& run,
 Status SampleRunKeys(Env* env, const std::vector<RunInfo>& runs,
                      size_t sample_size, uint64_t seed,
                      std::vector<Key>* sample);
-
-/// The final merge step of MergeRuns: merges `runs` into the output
-/// described by `spec`, either as one merge or as `spec.partitions`
-/// concurrent partial loser-tree merges over key-domain slices, each
-/// writing its disjoint byte range through a RangeMergeSink. Output bytes
-/// are identical to the serial pass in every mode (records are bare keys,
-/// so the fully sorted stream is unique). On failure an output file this
-/// call created is removed — a torn positioned file has holes, unlike the
-/// append path's clean prefix — while a shared positioned output is left
-/// to its creator's cleanup.
-Status FinalMergeToOutput(Env* env, const std::vector<RunInfo>& runs,
-                          const MergeIoOptions& io, const FinalMergeSpec& spec,
-                          const std::string& output_path, RunInfo* out);
 
 }  // namespace twrs
 

@@ -1,6 +1,7 @@
 #include "merge/polyphase.h"
 
 #include <deque>
+#include <memory>
 #include <numeric>
 
 #include "merge/kway_merge.h"
@@ -64,7 +65,7 @@ Status PolyphaseMergeRuns(Env* env, std::vector<RunInfo> runs,
   }
   MergeStats local;
   if (runs.empty()) {
-    RecordWriter writer(env, output_path, options.block_bytes);
+    RecordWriter writer(env, output_path, options.io.block_bytes);
     TWRS_RETURN_IF_ERROR(writer.status());
     TWRS_RETURN_IF_ERROR(writer.Finish());
     if (stats != nullptr) *stats = local;
@@ -91,9 +92,21 @@ Status PolyphaseMergeRuns(Env* env, std::vector<RunInfo> runs,
         final_merge ? output_path
                     : options.temp_dir + "/" + options.temp_prefix + "_pp" +
                           std::to_string(temp_counter++);
+    std::vector<RunCursor> cursors;
+    cursors.reserve(batch.size());
+    for (const RunInfo& run : batch) {
+      cursors.emplace_back(env, run, options.io.block_bytes,
+                           options.io.prefetch_blocks);
+      TWRS_RETURN_IF_ERROR(cursors.back().Init());
+    }
+    std::unique_ptr<MergeSink> sink;
+    TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, path, options.io.pool,
+                                             kDefaultAsyncBufferBytes, &sink,
+                                             options.io.flush_histogram));
     RunInfo merged;
     TWRS_RETURN_IF_ERROR(
-        KWayMergeToFile(env, batch, options.block_bytes, path, &merged));
+        Merge(&cursors, MergeWindow(), options.io, sink.get(), &merged));
+    merged.segments[0].path = path;
     ++local.merge_steps;
     local.records_written += merged.length;
     if (options.remove_inputs) {

@@ -169,6 +169,10 @@ Status RunGenerationPhase::Run(SortContext* context) {
   Stopwatch watch;
   TWRS_RETURN_IF_ERROR(
       generator->Generate(source, out, &context->result.run_gen));
+  // A source that failed mid-stream (a torn input file, a read error) ended
+  // early: the runs hold only a prefix of the input, and no output has been
+  // opened yet, so the sort fails here without touching it.
+  TWRS_RETURN_IF_ERROR(source_->status());
   if (IsCancelled(context->cancel)) {
     // The token fired after the last sink call (e.g. during the final
     // heap drain): the truncated input made generation "succeed", but the
@@ -198,30 +202,27 @@ Status MergePlanningPhase::Run(SortContext* context) {
   Stopwatch watch;
   MergeOptions plan;
   plan.fan_in = options.fan_in;
-  plan.block_bytes = options.block_bytes;
+  plan.io.block_bytes = options.block_bytes;
   plan.temp_dir = context->sort_dir;
   plan.temp_prefix = "sort";
   plan.remove_inputs = !options.keep_temp_files;
-  plan.pool = context->pool;
+  // The pool dispatches same-level leaf merges and hosts the partitioned
+  // final merge; without one both quietly degrade to serial passes.
   // Prefetching runs on dedicated pump threads, so it is independent of
-  // the pool; only the pool-dispatched leaf merges require workers.
-  plan.prefetch_blocks = options.parallel.prefetch_blocks;
-  plan.parallel_leaf_merges =
-      context->pool != nullptr && options.parallel.parallel_leaf_merges;
-  // Partitioned final merges need workers to run on; without a pool the
-  // knob quietly degrades to the serial pass.
-  plan.final_merge_threads =
-      context->pool != nullptr ? options.parallel.final_merge_threads : 1;
+  // the pool.
+  plan.io.pool = context->pool;
+  plan.io.prefetch_blocks = options.parallel.prefetch_blocks;
+  plan.final_merge_threads = options.parallel.final_merge_threads;
   plan.output_range = context->output_range;
-  plan.cancel = context->cancel;
-  plan.progress = context->progress;
+  plan.io.cancel = context->cancel;
+  plan.io.progress = context->progress;
   // Top-K (run-pruning strategy): every merge pass keeps only the limit
   // records that can reach the output — the stream's smallest for an
   // ascending selection, its largest for a descending one.
   plan.limit = options.limit;
   plan.limit_last = options.order == SelectOrder::kDescending;
   if (context->metrics != nullptr) {
-    plan.flush_histogram =
+    plan.io.flush_histogram =
         context->metrics->Histogram("merge_sink.flush_seconds");
     context->metrics->Histogram("sort.merge_planning_seconds")
         ->RecordSeconds(watch.ElapsedSeconds());

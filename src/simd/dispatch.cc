@@ -48,10 +48,6 @@ const char* KernelName(Kernel kernel) {
       return "sort_block";
     case Kernel::kPartition:
       return "partition";
-    case Kernel::kEncode:
-      return "encode";
-    case Kernel::kDecode:
-      return "decode";
     case Kernel::kMinIndex:
       return "min_index";
   }

@@ -52,14 +52,12 @@ void ClearForceScalarOverride();
 enum class Kernel {
   kSortKeys = 0,
   kPartition = 1,
-  kEncode = 2,
-  kDecode = 3,
-  kMinIndex = 4,
+  kMinIndex = 2,
 };
 
-inline constexpr int kNumKernels = 5;
+inline constexpr int kNumKernels = 3;
 
-/// "sort_block", "partition", "encode", "decode", "min_index".
+/// "sort_block", "partition", "min_index".
 const char* KernelName(Kernel kernel);
 
 /// Process-wide count of calls dispatched to `level` for `kernel` since

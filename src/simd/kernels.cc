@@ -35,24 +35,6 @@ void PartitionBySplittersScalar(const Key* keys, size_t n,
   }
 }
 
-void EncodeKeysBatchScalar(const Key* keys, size_t n, uint8_t* out) {
-#if TWRS_LITTLE_ENDIAN
-  // In-memory and on-disk layouts agree on little-endian hosts, so the
-  // whole batch is one copy (the compiler fully vectorizes this).
-  if (n > 0) std::memcpy(out, keys, n * kRecordBytes);
-#else
-  for (size_t i = 0; i < n; ++i) EncodeKey(keys[i], out + i * kRecordBytes);
-#endif
-}
-
-void DecodeKeysBatchScalar(const uint8_t* in, size_t n, Key* keys) {
-#if TWRS_LITTLE_ENDIAN
-  if (n > 0) std::memcpy(keys, in, n * kRecordBytes);
-#else
-  for (size_t i = 0; i < n; ++i) keys[i] = DecodeKey(in + i * kRecordBytes);
-#endif
-}
-
 size_t MinIndexNScalar(const Key* keys, size_t n) {
   size_t best = 0;
   for (size_t i = 1; i < n; ++i) {
@@ -80,22 +62,6 @@ void PartitionBySplitters(const Key* keys, size_t n, const Key* splitters,
   } else {
     internal::PartitionBySplittersScalar(keys, n, splitters, num_splitters,
                                          bucket);
-  }
-}
-
-void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out) {
-  if (ResolveAndCount(Kernel::kEncode) == DispatchLevel::kAvx2) {
-    internal::EncodeKeysBatchAvx2(keys, n, out);
-  } else {
-    internal::EncodeKeysBatchScalar(keys, n, out);
-  }
-}
-
-void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys) {
-  if (ResolveAndCount(Kernel::kDecode) == DispatchLevel::kAvx2) {
-    internal::DecodeKeysBatchAvx2(in, n, keys);
-  } else {
-    internal::DecodeKeysBatchScalar(in, n, keys);
   }
 }
 

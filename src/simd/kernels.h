@@ -28,14 +28,6 @@ void SortKeysBlock(Key* keys, size_t n);
 void PartitionBySplitters(const Key* keys, size_t n, const Key* splitters,
                           size_t num_splitters, uint32_t* bucket);
 
-/// Serializes keys[0..n) little-endian into out[0..n*kRecordBytes) — the
-/// bulk form of EncodeKey, used by the block-buffered record writers.
-void EncodeKeysBatch(const Key* keys, size_t n, uint8_t* out);
-
-/// Deserializes n little-endian records from `in` into keys[0..n) — the
-/// bulk form of DecodeKey, used by the block-buffered record readers.
-void DecodeKeysBatch(const uint8_t* in, size_t n, Key* keys);
-
 /// Index of the minimum of keys[0..n); ties resolve to the lowest index
 /// (the loser tree's stable tie-break). Requires n >= 1. The fast
 /// selection primitive of small-fan-in merges, where a tournament tree's
@@ -57,12 +49,6 @@ void PartitionBySplittersScalar(const Key* keys, size_t n,
                                 uint32_t* bucket);
 void PartitionBySplittersAvx2(const Key* keys, size_t n, const Key* splitters,
                               size_t num_splitters, uint32_t* bucket);
-
-void EncodeKeysBatchScalar(const Key* keys, size_t n, uint8_t* out);
-void EncodeKeysBatchAvx2(const Key* keys, size_t n, uint8_t* out);
-
-void DecodeKeysBatchScalar(const uint8_t* in, size_t n, Key* keys);
-void DecodeKeysBatchAvx2(const uint8_t* in, size_t n, Key* keys);
 
 size_t MinIndexNScalar(const Key* keys, size_t n);
 size_t MinIndexNAvx2(const Key* keys, size_t n);

@@ -329,28 +329,6 @@ void PartitionBySplittersAvx2(const Key* keys, size_t n, const Key* splitters,
   }
 }
 
-void EncodeKeysBatchAvx2(const Key* keys, size_t n, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // x86 is little-endian, so register layout equals the disk format.
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * kRecordBytes),
-                        v);
-  }
-  if (i < n) std::memcpy(out + i * kRecordBytes, keys + i, (n - i) * kRecordBytes);
-}
-
-void DecodeKeysBatchAvx2(const uint8_t* in, size_t n, Key* keys) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(in + i * kRecordBytes));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys + i), v);
-  }
-  if (i < n) std::memcpy(keys + i, in + i * kRecordBytes, (n - i) * kRecordBytes);
-}
-
 size_t MinIndexNAvx2(const Key* keys, size_t n) {
   if (n < 4) return MinIndexNScalar(keys, n);
   if (n <= 8) {
@@ -422,14 +400,6 @@ void SortKeysBlockAvx2(Key* keys, size_t n) { SortKeysBlockScalar(keys, n); }
 void PartitionBySplittersAvx2(const Key* keys, size_t n, const Key* splitters,
                               size_t num_splitters, uint32_t* bucket) {
   PartitionBySplittersScalar(keys, n, splitters, num_splitters, bucket);
-}
-
-void EncodeKeysBatchAvx2(const Key* keys, size_t n, uint8_t* out) {
-  EncodeKeysBatchScalar(keys, n, out);
-}
-
-void DecodeKeysBatchAvx2(const uint8_t* in, size_t n, Key* keys) {
-  DecodeKeysBatchScalar(in, n, keys);
 }
 
 size_t MinIndexNAvx2(const Key* keys, size_t n) {

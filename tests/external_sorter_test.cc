@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "core/load_sort_store.h"
 #include "io/mem_env.h"
@@ -180,7 +183,6 @@ TEST(ExternalSorterParallelTest, ParallelOutputIsByteIdenticalToSerial) {
 
   options.parallel.worker_threads = 4;
   options.parallel.prefetch_blocks = 3;
-  options.parallel.parallel_leaf_merges = true;
   ExternalSortResult parallel_result;
   {
     ExternalSorter sorter(&env, options);
@@ -467,6 +469,58 @@ TEST(ExternalSorterTest, FailureDoesNotDeleteAPreexistingOutputFile) {
   std::vector<Key> keys;
   ASSERT_TWRS_OK(ReadAllRecords(&env, "out", &keys));
   EXPECT_EQ(keys, (std::vector<Key>{1, 2, 3}));
+}
+
+// Regression test: a source that fails mid-stream (here a torn input file,
+// 3 bytes past the last whole record) used to end run generation early
+// and let the sort publish a sorted prefix over the existing output.
+TEST(ExternalSorterTest, FailedSourceFailsTheSortAndKeepsTheOutput) {
+  MemEnv env;
+  {
+    std::vector<Key> keys(20000);
+    Random rng(27);
+    for (Key& k : keys) k = static_cast<Key>(rng.Next());
+    std::vector<uint8_t> bytes(keys.size() * kRecordBytes + 3, 0x5A);
+    EncodeKeys(keys.data(), keys.size(), bytes.data());
+    std::unique_ptr<WritableFile> in;
+    ASSERT_TWRS_OK(env.NewWritableFile("in", &in));
+    ASSERT_TWRS_OK(in->Append(bytes.data(), bytes.size()));
+    ASSERT_TWRS_OK(in->Close());
+  }
+  ASSERT_TWRS_OK(WriteAllRecords(&env, "out", {1, 2, 3}));
+  const std::vector<uint8_t> before = *env.FileContents("out");
+
+  struct Case {
+    const char* name;
+    size_t worker_threads;
+    uint64_t limit;
+    TopKStrategy strategy;
+  };
+  const Case cases[] = {
+      {"serial", 0, 0, TopKStrategy::kAuto},
+      {"worker_threads=1", 1, 0, TopKStrategy::kAuto},
+      {"dual-heap", 0, 100, TopKStrategy::kDualHeap},
+      {"run-pruning-merge", 0, 100, TopKStrategy::kRunPruningMerge},
+  };
+  for (const Case& c : cases) {
+    ExternalSortOptions options;
+    options.memory_records = 1024;
+    options.temp_dir = "tmp";
+    options.parallel.worker_threads = c.worker_threads;
+    options.limit = c.limit;
+    options.topk_strategy = c.strategy;
+    ExternalSorter sorter(&env, options);
+    FileRecordSource source(&env, "in");
+    ExternalSortResult result;
+    const Status s = sorter.Sort(&source, "out", &result);
+    EXPECT_TRUE(s.IsCorruption()) << c.name << ": " << s.ToString();
+    ASSERT_NE(env.FileContents("out"), nullptr) << c.name;
+    EXPECT_EQ(*env.FileContents("out"), before) << c.name;
+    std::vector<std::string> scratch;
+    ASSERT_TWRS_OK(env.ListDir("tmp", &scratch));
+    EXPECT_TRUE(scratch.empty()) << c.name << ": " << scratch.size();
+    EXPECT_EQ(env.FileCount(), 2u) << c.name;  // the input and the output
+  }
 }
 
 TEST(ExternalSorterCancelTest, TornOutputThisSortTruncatedIsRemoved) {

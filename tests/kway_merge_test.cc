@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/run_sink.h"
@@ -46,13 +49,27 @@ RunInfo MakeFourStreamRun(Env* env, const std::string& prefix) {
   return sink.runs()[0];
 }
 
+// Merges initialized `cursors` through Merge into the record file
+// "merged", serving `window`.
+Status MergeCursorsToFile(Env* env, std::vector<RunCursor>* cursors,
+                          const MergeWindow& window, RunInfo* out) {
+  std::unique_ptr<MergeSink> sink;
+  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, "merged", nullptr, 0, &sink));
+  MergeIoOptions io;
+  io.block_bytes = 256;
+  return Merge(cursors, window, io, sink.get(), out);
+}
+
 std::vector<Key> MergeAll(Env* env, const std::vector<RunInfo>& runs) {
-  std::vector<Key> out;
-  Status s = KWayMerge(env, runs, 256, [&](Key k) {
-    out.push_back(k);
-    return Status::OK();
-  });
+  std::vector<RunCursor> cursors;
+  for (const RunInfo& run : runs) {
+    cursors.emplace_back(env, run, 256);
+    EXPECT_TRUE(cursors.back().Init().ok());
+  }
+  Status s = MergeCursorsToFile(env, &cursors, MergeWindow(), nullptr);
   EXPECT_TRUE(s.ok()) << s.ToString();
+  std::vector<Key> out;
+  EXPECT_TRUE(ReadAllRecords(env, "merged", &out).ok());
   return out;
 }
 
@@ -104,13 +121,14 @@ TEST(KWayMergeTest, ZeroRunsYieldEmptyOutput) {
   EXPECT_TRUE(MergeAll(&env, {}).empty());
 }
 
-TEST(KWayMergeTest, ToFileProducesRunInfo) {
+TEST(KWayMergeTest, MergeProducesRunInfo) {
   MemEnv env;
-  std::vector<RunInfo> runs;
-  runs.push_back(MakeForwardRun(&env, "a", {1, 3}));
-  runs.push_back(MakeForwardRun(&env, "b", {2}));
+  std::vector<RunCursor> cursors;
+  cursors.emplace_back(&env, MakeForwardRun(&env, "a", {1, 3}), 256);
+  cursors.emplace_back(&env, MakeForwardRun(&env, "b", {2}), 256);
+  for (RunCursor& cursor : cursors) ASSERT_TWRS_OK(cursor.Init());
   RunInfo out;
-  ASSERT_TWRS_OK(KWayMergeToFile(&env, runs, 256, "merged", &out));
+  ASSERT_TWRS_OK(MergeCursorsToFile(&env, &cursors, MergeWindow(), &out));
   EXPECT_EQ(out.length, 3u);
   EXPECT_EQ(out.min_key, 1);
   EXPECT_EQ(out.max_key, 3);
@@ -127,22 +145,91 @@ TEST(KWayMergeTest, RemoveRunFilesDeletesAllSegments) {
   EXPECT_EQ(env.FileCount(), 0u);
 }
 
+// Writes the ascending `keys` as a 2WRS-style run whose four streams split
+// them into consecutive quarters, so the run alternates reverse (Appendix-A)
+// and forward segments.
+RunInfo MakeMixedRun(Env* env, const std::string& prefix,
+                     const std::vector<Key>& keys) {
+  FileRunSinkOptions options;
+  options.reverse.pages_per_file = 2;
+  options.reverse.page_bytes = 64;
+  FileRunSink sink(env, "d", prefix, options);
+  EXPECT_TRUE(sink.BeginRun().ok());
+  const size_t q1 = keys.size() / 4;
+  const size_t q2 = keys.size() / 2;
+  const size_t q3 = 3 * keys.size() / 4;
+  for (size_t i = q1; i-- > 0;) {
+    EXPECT_TRUE(sink.Append(kStream4, keys[i]).ok());
+  }
+  for (size_t i = q1; i < q2; ++i) {
+    EXPECT_TRUE(sink.Append(kStream3, keys[i]).ok());
+  }
+  for (size_t i = q3; i-- > q2;) {
+    EXPECT_TRUE(sink.Append(kStream2, keys[i]).ok());
+  }
+  for (size_t i = q3; i < keys.size(); ++i) {
+    EXPECT_TRUE(sink.Append(kStream1, keys[i]).ok());
+  }
+  EXPECT_TRUE(sink.EndRun().ok());
+  EXPECT_TRUE(sink.Finish().ok());
+  return sink.runs()[0];
+}
+
+// The one Merge against std::sort then slicing: every fan-in from 1 to 20
+// (both sides of kSmallMergeFanIn, so both selectors), forward and mixed
+// forward/reverse runs, random InitSlice slices and a random MergeWindow.
 TEST(KWayMergeTest, RandomizedManyRunsProperty) {
+  static_assert(kSmallMergeFanIn < 20, "fan-ins must straddle the cutover");
   Random rng(23);
-  for (int trial = 0; trial < 10; ++trial) {
-    MemEnv env;
-    std::vector<RunInfo> runs;
-    std::vector<Key> all;
-    const size_t k = 1 + rng.Uniform(20);
-    for (size_t w = 0; w < k; ++w) {
-      std::vector<Key> keys(rng.Uniform(100));
-      for (Key& key : keys) key = static_cast<Key>(rng.Uniform(10000));
-      std::sort(keys.begin(), keys.end());
-      all.insert(all.end(), keys.begin(), keys.end());
-      runs.push_back(MakeForwardRun(&env, "run" + std::to_string(w), keys));
+  for (size_t k = 1; k <= 20; ++k) {
+    for (int trial = 0; trial < 4; ++trial) {
+      MemEnv env;
+      std::vector<RunCursor> cursors;
+      std::vector<Key> all;
+      for (size_t w = 0; w < k; ++w) {
+        std::vector<Key> keys(rng.Uniform(100));
+        for (Key& key : keys) key = static_cast<Key>(rng.Uniform(10000));
+        std::sort(keys.begin(), keys.end());
+        const std::string name = "run" + std::to_string(w);
+        // (FileRunSink drops empty runs, so those are written forward.)
+        RunInfo run = keys.empty() || rng.Uniform(2) == 0
+                          ? MakeForwardRun(&env, name, keys)
+                          : MakeMixedRun(&env, name, keys);
+        // Trial 0 merges whole runs; the others merge a random slice.
+        uint64_t skip = 0;
+        uint64_t limit = keys.size();
+        if (trial > 0) {
+          skip = rng.Uniform(keys.size() + 1);
+          limit = rng.Uniform(keys.size() - skip + 1);
+        }
+        all.insert(all.end(), keys.begin() + static_cast<ptrdiff_t>(skip),
+                   keys.begin() + static_cast<ptrdiff_t>(skip + limit));
+        cursors.emplace_back(&env, std::move(run), 256);
+        ASSERT_TWRS_OK(cursors.back().InitSlice(skip, limit));
+      }
+      std::sort(all.begin(), all.end());
+      MergeWindow window;
+      if (trial > 1) {
+        window.skip = rng.Uniform(all.size() + 2);
+        if (trial > 2) window.limit = rng.Uniform(all.size() + 2);
+      }
+      const size_t begin = std::min<uint64_t>(window.skip, all.size());
+      const size_t end = std::min<uint64_t>(all.size() - begin, window.limit) +
+                         begin;
+      const std::vector<Key> expect(all.begin() + static_cast<ptrdiff_t>(begin),
+                                    all.begin() + static_cast<ptrdiff_t>(end));
+
+      RunInfo out;
+      ASSERT_TWRS_OK(MergeCursorsToFile(&env, &cursors, window, &out));
+      std::vector<Key> got;
+      ASSERT_TWRS_OK(ReadAllRecords(&env, "merged", &got));
+      EXPECT_EQ(got, expect) << "k=" << k << " trial=" << trial;
+      EXPECT_EQ(out.length, expect.size());
+      if (!expect.empty()) {
+        EXPECT_EQ(out.min_key, expect.front());
+        EXPECT_EQ(out.max_key, expect.back());
+      }
     }
-    std::sort(all.begin(), all.end());
-    EXPECT_EQ(MergeAll(&env, runs), all) << "trial " << trial;
   }
 }
 

@@ -27,7 +27,7 @@ RunInfo MakeRun(Env* env, const std::string& path,
 MergeOptions Options() {
   MergeOptions options;
   options.fan_in = 3;
-  options.block_bytes = 256;
+  options.io.block_bytes = 256;
   options.temp_dir = "tmp";
   return options;
 }

@@ -231,7 +231,7 @@ TEST(PartitionedMergeTest, ByteIdenticalToSerialAcrossPartitionCounts) {
 
     MergeOptions serial;
     serial.fan_in = 10;
-    serial.block_bytes = 256;
+    serial.io.block_bytes = 256;
     serial.temp_dir = "tmp";
     serial.remove_inputs = false;
     MergeStats serial_stats;
@@ -242,9 +242,8 @@ TEST(PartitionedMergeTest, ByteIdenticalToSerialAcrossPartitionCounts) {
 
     for (size_t partitions : {size_t{1}, size_t{2}, size_t{8}}) {
       MergeOptions options = serial;
-      options.pool = &pool;
+      options.io.pool = &pool;
       options.final_merge_threads = partitions;
-      options.final_sample_size = 64;
       const std::string out = "out_p" + std::to_string(partitions);
       MergeStats stats;
       ASSERT_TWRS_OK(MergeRuns(&env, runs, options, out, &stats));
@@ -403,13 +402,12 @@ TEST(PartitionedMergeTest, CancellationMidPartialMergeLeavesNoOutput) {
   }
   MergeOptions options;
   options.fan_in = 10;
-  options.block_bytes = 4096;
+  options.io.block_bytes = 4096;
   options.temp_dir = "tmp";
   options.remove_inputs = false;
-  options.pool = &pool;
+  options.io.pool = &pool;
   options.final_merge_threads = 4;
-  options.final_sample_size = 64;
-  options.cancel = &token;
+  options.io.cancel = &token;
   Status s = MergeRuns(&env, runs, options, "out", nullptr);
   EXPECT_TRUE(s.IsCancelled()) << s.ToString();
   // No partial output: a torn positioned file has holes, so the
@@ -440,7 +438,7 @@ TEST(PartitionedMergeTest, PositionedSingleMergeWritesAssignedRange) {
     ASSERT_TWRS_OK(f->Close());
   }
   MergeOptions options;
-  options.block_bytes = 128;
+  options.io.block_bytes = 128;
   options.temp_dir = "tmp";
   options.remove_inputs = false;
   options.output_range.positioned = true;

@@ -81,7 +81,7 @@ TEST(PolyphaseMergeRunsTest, ProducesSortedOutput) {
   std::sort(all.begin(), all.end());
   MergeOptions options;
   options.temp_dir = "tmp";
-  options.block_bytes = 256;
+  options.io.block_bytes = 256;
   MergeStats stats;
   ASSERT_TWRS_OK(
       PolyphaseMergeRuns(&env, runs, /*num_tapes=*/4, options, "out", &stats));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "io/mem_env.h"
@@ -26,6 +28,26 @@ TEST(RecordCodecTest, LittleEndianLayout) {
   EncodeKey(0x0102030405060708LL, buf);
   EXPECT_EQ(buf[0], 0x08);
   EXPECT_EQ(buf[7], 0x01);
+}
+
+TEST(RecordCodecTest, BatchCodecMatchesPerRecordCodec) {
+  Random rng(11);
+  for (size_t n : {0, 1, 3, 4, 5, 17, 64}) {
+    std::vector<Key> keys(n);
+    for (Key& k : keys) k = static_cast<Key>(rng.Next());
+    std::vector<uint8_t> bytes(n * kRecordBytes, 0xAB);
+    EncodeKeys(keys.data(), n, bytes.data());
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t one[kRecordBytes];
+      EncodeKey(keys[i], one);
+      ASSERT_EQ(0, std::memcmp(one, bytes.data() + i * kRecordBytes,
+                               kRecordBytes))
+          << "n=" << n << " i=" << i;
+    }
+    std::vector<Key> decoded(n, -1);
+    DecodeKeys(bytes.data(), n, decoded.data());
+    EXPECT_EQ(decoded, keys) << "n=" << n;
+  }
 }
 
 // Buffer boundary behaviour must not depend on the block size.

@@ -124,29 +124,6 @@ TEST_P(SimdKernelsTest, PartitionBySplittersMatchesScalar) {
   }
 }
 
-TEST_P(SimdKernelsTest, EncodeDecodeRoundTripMatchesScalar) {
-  for (Family family : AllFamilies()) {
-    for (size_t n : TestSizes()) {
-      std::vector<Key> keys = MakeInput(family, n, 41 * n + 3);
-      std::vector<uint8_t> bytes(n * kRecordBytes, 0xAB);
-      std::vector<uint8_t> expected_bytes(n * kRecordBytes, 0xCD);
-      internal::EncodeKeysBatchScalar(keys.data(), n, expected_bytes.data());
-      EncodeKeysBatch(keys.data(), n, bytes.data());
-      ASSERT_EQ(bytes, expected_bytes) << "n=" << n;
-      // The byte stream must equal n applications of the per-record codec.
-      for (size_t i = 0; i < n; ++i) {
-        uint8_t one[kRecordBytes];
-        EncodeKey(keys[i], one);
-        ASSERT_EQ(0, std::memcmp(one, bytes.data() + i * kRecordBytes,
-                                 kRecordBytes));
-      }
-      std::vector<Key> decoded(n, -1);
-      DecodeKeysBatch(bytes.data(), n, decoded.data());
-      ASSERT_EQ(decoded, keys) << "n=" << n;
-    }
-  }
-}
-
 TEST_P(SimdKernelsTest, MinIndexNMatchesScalar) {
   for (Family family : AllFamilies()) {
     for (size_t n : TestSizes()) {
@@ -203,8 +180,6 @@ TEST(SimdDispatchTest, NamesAreStable) {
   EXPECT_STREQ(DispatchLevelName(DispatchLevel::kAvx2), "avx2");
   EXPECT_STREQ(KernelName(Kernel::kSortKeys), "sort_block");
   EXPECT_STREQ(KernelName(Kernel::kPartition), "partition");
-  EXPECT_STREQ(KernelName(Kernel::kEncode), "encode");
-  EXPECT_STREQ(KernelName(Kernel::kDecode), "decode");
   EXPECT_STREQ(KernelName(Kernel::kMinIndex), "min_index");
 }
 
