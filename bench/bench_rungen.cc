@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/batched_replacement_selection.h"
 #include "core/load_sort_store.h"
 #include "core/replacement_selection.h"
@@ -14,15 +16,33 @@
 namespace twrs {
 namespace {
 
-constexpr size_t kMemory = 4096;
+constexpr int64_t kMemory = 4096;
 constexpr uint64_t kRecords = 200000;
+// A memory whose heaps outgrow the cache, as in the end-to-end sort
+// benchmark, over four memories of input.
+constexpr int64_t kLargeMemory = 1 << 20;
 
-void RunGenerator(benchmark::State& state, RunGenerator* generator,
-                  Dataset dataset) {
+// Arguments are {dataset, memory records}.
+void AllDatasets(benchmark::internal::Benchmark* b) {
+  for (int d = 0; d < kNumDatasets; ++d) b->Args({d, kMemory});
+}
+
+void AllDatasetsAndLargeMemory(benchmark::internal::Benchmark* b) {
+  AllDatasets(b);
+  b->Args({static_cast<int64_t>(Dataset::kRandom), kLargeMemory});
+}
+
+size_t Memory(const benchmark::State& state) {
+  return static_cast<size_t>(state.range(1));
+}
+
+void RunGenerator(benchmark::State& state, RunGenerator* generator) {
+  const Dataset dataset = static_cast<Dataset>(state.range(0));
+  const uint64_t records = std::max<uint64_t>(kRecords, 4 * Memory(state));
   uint64_t runs = 0;
   for (auto _ : state) {
     WorkloadOptions workload;
-    workload.num_records = kRecords;
+    workload.num_records = records;
     workload.seed = 7;
     auto source = MakeWorkload(dataset, workload);
     CountingRunSink sink;
@@ -32,40 +52,41 @@ void RunGenerator(benchmark::State& state, RunGenerator* generator,
     runs = stats.num_runs();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          kRecords);
+                          static_cast<int64_t>(records));
   state.counters["runs"] = static_cast<double>(runs);
 }
 
 void BM_LoadSortStore(benchmark::State& state) {
   LoadSortStoreOptions options;
-  options.memory_records = kMemory;
+  options.memory_records = Memory(state);
   LoadSortStore generator(options);
-  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
+  RunGenerator(state, &generator);
 }
-BENCHMARK(BM_LoadSortStore)->DenseRange(0, kNumDatasets - 1);
+BENCHMARK(BM_LoadSortStore)->Apply(AllDatasetsAndLargeMemory);
 
 void BM_ReplacementSelection(benchmark::State& state) {
   ReplacementSelectionOptions options;
-  options.memory_records = kMemory;
+  options.memory_records = Memory(state);
   ReplacementSelection generator(options);
-  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
+  RunGenerator(state, &generator);
 }
-BENCHMARK(BM_ReplacementSelection)->DenseRange(0, kNumDatasets - 1);
+BENCHMARK(BM_ReplacementSelection)->Apply(AllDatasets);
 
 void BM_BatchedReplacementSelection(benchmark::State& state) {
   BatchedReplacementSelectionOptions options;
-  options.memory_records = kMemory;
-  options.batch_records = kMemory / 8;
+  options.memory_records = Memory(state);
+  options.batch_records = Memory(state) / 8;
   BatchedReplacementSelection generator(options);
-  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
+  RunGenerator(state, &generator);
 }
-BENCHMARK(BM_BatchedReplacementSelection)->DenseRange(0, kNumDatasets - 1);
+BENCHMARK(BM_BatchedReplacementSelection)->Apply(AllDatasetsAndLargeMemory);
 
 void BM_TwoWayReplacementSelection(benchmark::State& state) {
-  TwoWayReplacementSelection generator(TwoWayOptions::Recommended(kMemory));
-  RunGenerator(state, &generator, static_cast<Dataset>(state.range(0)));
+  TwoWayReplacementSelection generator(
+      TwoWayOptions::Recommended(Memory(state)));
+  RunGenerator(state, &generator);
 }
-BENCHMARK(BM_TwoWayReplacementSelection)->DenseRange(0, kNumDatasets - 1);
+BENCHMARK(BM_TwoWayReplacementSelection)->Apply(AllDatasetsAndLargeMemory);
 
 }  // namespace
 }  // namespace twrs

@@ -1,5 +1,6 @@
 #include "core/heuristics.h"
 
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 
@@ -149,9 +150,9 @@ HeapSide HeuristicEngine::ChooseOutputSide(const DoubleHeap& heap) {
     case OutputHeuristic::kMinDistance: {
       if (!has_first_output_) return RandomSide();
       const double db = std::abs(
-          static_cast<double>(heap.Top(HeapSide::kBottom).key - first_output_));
+          static_cast<double>(heap.Top(HeapSide::kBottom) - first_output_));
       const double dt = std::abs(
-          static_cast<double>(heap.Top(HeapSide::kTop).key - first_output_));
+          static_cast<double>(heap.Top(HeapSide::kTop) - first_output_));
       if (db == dt) return RandomSide();
       return db < dt ? HeapSide::kBottom : HeapSide::kTop;
     }
@@ -178,14 +179,17 @@ void HeuristicEngine::OnRunStart(DoubleHeap* heap) {
   output_next_top_ = false;
   if (input_ == InputHeuristic::kBalancing && heap != nullptr) {
     // §4.2: when a run starts, level the heaps by moving records from the
-    // larger to the smaller one. Leaves move in O(1) each.
+    // larger to the smaller one. Every record then belongs to the new run,
+    // so each move takes a current-run leaf and cannot overflow.
     for (;;) {
       const size_t b = heap->SideSize(HeapSide::kBottom);
       const size_t t = heap->SideSize(HeapSide::kTop);
       if (b + 1 >= t && t + 1 >= b) break;
       const HeapSide from = b > t ? HeapSide::kBottom : HeapSide::kTop;
       const HeapSide to = b > t ? HeapSide::kTop : HeapSide::kBottom;
-      heap->Push(to, heap->PopLastLeaf(from));
+      const bool moved = heap->Push(to, heap->PopLastLeaf(from));
+      assert(moved);
+      (void)moved;
     }
   }
 }

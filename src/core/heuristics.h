@@ -12,7 +12,7 @@
 namespace twrs {
 
 /// Input heuristics (§4.2): decide which heap stores a record that could go
-/// to either (during the fill phase and for records tagged for a later run).
+/// to either (during the fill phase and for records held for a later run).
 enum class InputHeuristic {
   kRandom = 0,     ///< pick a heap at random
   kAlternate = 1,  ///< alternate BottomHeap / TopHeap

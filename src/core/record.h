@@ -16,7 +16,8 @@ inline constexpr size_t kRecordBytes = sizeof(Key);
 
 /// A record tagged with the run it belongs to during run generation.
 /// Records marked as belonging to a later run sink below all records of the
-/// current run inside the selection heaps (§3.3).
+/// current run inside RS's selection heap (§3.3). 2WRS keeps the run
+/// implicit instead (see DoubleHeap).
 struct TaggedRecord {
   Key key = 0;
   uint32_t run = 0;

@@ -47,15 +47,15 @@ class Engine {
     while (heap_.size() < heap_.capacity() && input_.Next(&key)) {
       heuristics_.OnRecordSeen(key);
       const HeapSide side = heuristics_.ChooseInsertSide(key, &input_, heap_);
-      heap_.Push(side, TaggedRecord{key, 0});
+      TWRS_RETURN_IF_ERROR(Stored(heap_.Push(side, key)));
     }
     if (heap_.size() == 0) return sink_->Finish();
 
     TWRS_RETURN_IF_ERROR(sink_->BeginRun());
     heuristics_.OnRunStart(&heap_);
     while (heap_.size() > 0) {
-      if (!heap_.TopIsRun(HeapSide::kBottom, current_run_) &&
-          !heap_.TopIsRun(HeapSide::kTop, current_run_)) {
+      if (!heap_.HasCurrent(HeapSide::kBottom) &&
+          !heap_.HasCurrent(HeapSide::kTop)) {
         // Every record in memory belongs to a later run: close this one.
         TWRS_RETURN_IF_ERROR(StartNextRun());
         continue;
@@ -93,7 +93,7 @@ class Engine {
     TWRS_RETURN_IF_ERROR(victim_.FlushFinal(sink_));
     TWRS_RETURN_IF_ERROR(sink_->EndRun());
     TWRS_RETURN_IF_ERROR(sink_->BeginRun());
-    ++current_run_;
+    heap_.StartNextRun();
     // The new run re-establishes its own output division.
     s4_bound_ = kKeyMax;
     s1_bound_ = kKeyMin;
@@ -111,33 +111,37 @@ class Engine {
     return s4_bound_ != kKeyMax || s1_bound_ != kKeyMin;
   }
 
+  // Checks the result of storing a record in the heaps. The engine only
+  // stores a record after one left memory, so a refusal means a broken
+  // invariant: fail the sort rather than lose the record.
+  static Status Stored(bool stored) {
+    return stored ? Status::OK()
+                  : Status::Internal("2WRS heaps full: a record would be lost");
+  }
+
   // Relocates a record that its own side's stream cannot emit: into the
   // victim buffer when it fits the valid range, across to the other heap
   // when that side's stream still accepts it, or to the next run.
-  Status RouteStray(TaggedRecord record, HeapSide from) {
-    if (victim_.RangeContains(record.key)) {
+  Status RouteStray(Key key, HeapSide from) {
+    if (victim_.RangeContains(key)) {
       if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(sink_));
-      if (victim_.RangeContains(record.key)) {
-        victim_.Add(record.key);
+      if (victim_.RangeContains(key)) {
+        victim_.Add(key);
         ++victim_records_;
         return Status::OK();
       }
     }
-    if (from == HeapSide::kBottom && record.key >= s1_bound_) {
-      heap_.Push(HeapSide::kTop, record);
+    if (from == HeapSide::kBottom && key >= s1_bound_) {
       ++migrated_;
-      return Status::OK();
+      return Stored(heap_.Push(HeapSide::kTop, key));
     }
-    if (from == HeapSide::kTop && record.key <= s4_bound_) {
-      heap_.Push(HeapSide::kBottom, record);
+    if (from == HeapSide::kTop && key <= s4_bound_) {
       ++migrated_;
-      return Status::OK();
+      return Stored(heap_.Push(HeapSide::kBottom, key));
     }
-    record.run = current_run_ + 1;
-    heap_.Push(heuristics_.ChooseInsertSide(record.key, &input_, heap_),
-               record);
     ++diverted_;
-    return Status::OK();
+    return Stored(heap_.PushNextRun(
+        heuristics_.ChooseInsertSide(key, &input_, heap_), key));
   }
 
   // One-time cleanup when a run's division forms: the input heuristic may
@@ -152,14 +156,14 @@ class Engine {
   Status SeparationSweep() {
     for (;;) {
       bool progressed = false;
-      while (heap_.TopIsRun(HeapSide::kBottom, current_run_) &&
-             heap_.Top(HeapSide::kBottom).key > s4_bound_) {
+      while (heap_.HasCurrent(HeapSide::kBottom) &&
+             heap_.Top(HeapSide::kBottom) > s4_bound_) {
         TWRS_RETURN_IF_ERROR(
             RouteStray(heap_.Pop(HeapSide::kBottom), HeapSide::kBottom));
         progressed = true;
       }
-      while (heap_.TopIsRun(HeapSide::kTop, current_run_) &&
-             heap_.Top(HeapSide::kTop).key < s1_bound_) {
+      while (heap_.HasCurrent(HeapSide::kTop) &&
+             heap_.Top(HeapSide::kTop) < s1_bound_) {
         TWRS_RETURN_IF_ERROR(
             RouteStray(heap_.Pop(HeapSide::kTop), HeapSide::kTop));
         progressed = true;
@@ -171,13 +175,13 @@ class Engine {
   // Pops one record and routes it: victim buffer (bootstrap or range fit),
   // its own stream, the opposite heap, or the next run.
   Status OutputOne(StepResult* result) {
-    const bool can_bottom = heap_.TopIsRun(HeapSide::kBottom, current_run_);
-    const bool can_top = heap_.TopIsRun(HeapSide::kTop, current_run_);
+    const bool can_bottom = heap_.HasCurrent(HeapSide::kBottom);
+    const bool can_top = heap_.HasCurrent(HeapSide::kTop);
     const HeapSide side =
         can_bottom && can_top
             ? heuristics_.ChooseOutputSide(heap_)
             : (can_bottom ? HeapSide::kBottom : HeapSide::kTop);
-    TaggedRecord record = heap_.Pop(side);
+    const Key key = heap_.Pop(side);
 
     // Bootstrap (§4.3): the first records popped in a run are parked in the
     // victim buffer; when it fills, its largest gap becomes the valid range.
@@ -187,19 +191,13 @@ class Engine {
     // how imperfectly the input heuristic separated the heaps (the emitted
     // runs match the thesis' §4.5 example).
     if (victim_.bootstrapping()) {
-      victim_.Add(record.key);
+      victim_.Add(key);
       if (victim_.Full()) {
         // Snapshot the current-run keys so gap selection can avoid ranges
         // that would swallow the heap contents (victim_buffer.h).
         std::vector<Key> snapshot;
-        {
-          std::vector<TaggedRecord> contents;
-          heap_.AppendContents(&contents);
-          for (const TaggedRecord& r : contents) {
-            if (r.run == current_run_) snapshot.push_back(r.key);
-          }
-          simd::SortKeysBlock(snapshot.data(), snapshot.size());
-        }
+        heap_.AppendCurrentRunKeys(&snapshot);
+        simd::SortKeysBlock(snapshot.data(), snapshot.size());
         const VictimBuffer::RangePopulation population =
             [&snapshot](Key lo, Key hi) -> uint64_t {
           const auto begin =
@@ -213,10 +211,10 @@ class Engine {
         TWRS_RETURN_IF_ERROR(
             victim_.BootstrapSplit(&lows, &highs, population));
         for (Key k : lows) {
-          heap_.Push(HeapSide::kBottom, TaggedRecord{k, current_run_});
+          TWRS_RETURN_IF_ERROR(Stored(heap_.Push(HeapSide::kBottom, k)));
         }
         for (Key k : highs) {
-          heap_.Push(HeapSide::kTop, TaggedRecord{k, current_run_});
+          TWRS_RETURN_IF_ERROR(Stored(heap_.Push(HeapSide::kTop, k)));
         }
         s4_bound_ = std::min(s4_bound_, victim_.range_lo());
         s1_bound_ = std::max(s1_bound_, victim_.range_hi());
@@ -226,29 +224,29 @@ class Engine {
     }
 
     // A popped record inside the valid range belongs in the victim buffer.
-    if (victim_.RangeContains(record.key)) {
+    if (victim_.RangeContains(key)) {
       if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(sink_));
-      if (victim_.RangeContains(record.key)) {
-        victim_.Add(record.key);
+      if (victim_.RangeContains(key)) {
+        victim_.Add(key);
         ++victim_records_;
-        heuristics_.OnOutput(side, record.key);
+        heuristics_.OnOutput(side, key);
         *result = StepResult::kConsumed;
         return Status::OK();
       }
     }
 
-    if (side == HeapSide::kBottom && record.key <= s4_bound_) {
-      TWRS_RETURN_IF_ERROR(Emit(kStream4, side, record.key));
+    if (side == HeapSide::kBottom && key <= s4_bound_) {
+      TWRS_RETURN_IF_ERROR(Emit(kStream4, side, key));
       *result = StepResult::kConsumed;
       return Status::OK();
     }
-    if (side == HeapSide::kTop && record.key >= s1_bound_) {
-      TWRS_RETURN_IF_ERROR(Emit(kStream1, side, record.key));
+    if (side == HeapSide::kTop && key >= s1_bound_) {
+      TWRS_RETURN_IF_ERROR(Emit(kStream1, side, key));
       *result = StepResult::kConsumed;
       return Status::OK();
     }
     // The record's own stream can no longer take it (divert rule).
-    TWRS_RETURN_IF_ERROR(RouteStray(record, side));
+    TWRS_RETURN_IF_ERROR(RouteStray(key, side));
     *result = StepResult::kDiverted;
     return Status::OK();
   }
@@ -289,27 +287,21 @@ class Engine {
       if (!input_.Next(&key)) return Status::OK();
       heuristics_.OnRecordSeen(key);
     }
-    InsertRecord(key);
-    return Status::OK();
+    return InsertRecord(key);
   }
 
-  void InsertRecord(Key key) {
+  Status InsertRecord(Key key) {
     const bool can_bottom = key <= s4_bound_;
     const bool can_top = key >= s1_bound_;
-    TaggedRecord record{key, current_run_};
-    HeapSide side;
     if (can_bottom && can_top) {
-      side = heuristics_.ChooseInsertSide(key, &input_, heap_);
-    } else if (can_bottom) {
-      side = HeapSide::kBottom;
-    } else if (can_top) {
-      side = HeapSide::kTop;
-    } else {
-      // Unusable in the current run anywhere: next run (§3.3 generalized).
-      record.run = current_run_ + 1;
-      side = heuristics_.ChooseInsertSide(key, &input_, heap_);
+      return Stored(
+          heap_.Push(heuristics_.ChooseInsertSide(key, &input_, heap_), key));
     }
-    heap_.Push(side, record);
+    if (can_bottom) return Stored(heap_.Push(HeapSide::kBottom, key));
+    if (can_top) return Stored(heap_.Push(HeapSide::kTop, key));
+    // Unusable in the current run anywhere: next run (§3.3 generalized).
+    return Stored(heap_.PushNextRun(
+        heuristics_.ChooseInsertSide(key, &input_, heap_), key));
   }
 
   const TwoWayOptions& options_;
@@ -320,8 +312,6 @@ class Engine {
   InputBuffer input_;
   VictimBuffer victim_;
   HeuristicEngine heuristics_;
-
-  uint32_t current_run_ = 0;
 
   // Stream bounds for the current run: stream 4 may accept keys <=
   // s4_bound_, stream 1 keys >= s1_bound_. Together they keep the

@@ -1,116 +1,123 @@
 #include "heap/double_heap.h"
 
+#include <algorithm>
 #include <cassert>
-#include <utility>
+#include <cstring>
+#include <functional>
 
 namespace twrs {
+
+namespace {
+
+// Calls `f` with the std heap ordering of `side`. The std heap algorithms
+// keep the greatest element under the ordering at the root, so std::less
+// gives the Bottom side's max-heap and std::greater the Top side's min-heap.
+template <typename F>
+decltype(auto) WithOrder(HeapSide side, F&& f) {
+  return side == HeapSide::kBottom ? f(std::less<Key>())
+                                   : f(std::greater<Key>());
+}
+
+// Stores `key` at the root of heap[0, n) and sifts it down into place.
+template <typename Less>
+void SiftDownFromRoot(Key* heap, size_t n, Key key, Less less) {
+  size_t hole = 0;
+  for (;;) {
+    size_t child = 2 * hole + 1;
+    if (child >= n) break;
+    if (child + 1 < n && less(heap[child], heap[child + 1])) ++child;
+    if (!less(key, heap[child])) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = key;
+}
+
+}  // namespace
 
 const char* HeapSideName(HeapSide side) {
   return side == HeapSide::kBottom ? "Bottom" : "Top";
 }
 
-DoubleHeap::DoubleHeap(size_t capacity) : slots_(capacity) {}
-
-bool DoubleHeap::Before(HeapSide side, const TaggedRecord& a,
-                        const TaggedRecord& b) {
-  if (a.run != b.run) return a.run < b.run;
-  // Within a run the BottomHeap is a max-heap and the TopHeap a min-heap.
-  return side == HeapSide::kBottom ? a.key > b.key : a.key < b.key;
+DoubleHeap::DoubleHeap(size_t capacity) : capacity_(capacity) {
+  for (Side& s : sides_) s.keys.resize(capacity);
 }
 
-bool DoubleHeap::Push(HeapSide side, const TaggedRecord& record) {
+bool DoubleHeap::Push(HeapSide side, Key key) {
   if (Full()) return false;
-  size_t& n = side == HeapSide::kBottom ? bottom_size_ : top_size_;
-  slots_[Slot(side, n)] = record;
-  ++n;
-  SiftUp(side, n - 1);
+  Side& s = sides_[Index(side)];
+  Key* heap = s.keys.data();
+  heap[s.heap_size++] = key;
+  WithOrder(side, [&](auto less) {
+    std::push_heap(heap, heap + s.heap_size, less);
+  });
   return true;
 }
 
-const TaggedRecord& DoubleHeap::Top(HeapSide side) const {
-  assert(!Empty(side));
-  return slots_[Slot(side, 0)];
+bool DoubleHeap::PushNextRun(HeapSide side, Key key) {
+  if (Full()) return false;
+  Side& s = sides_[Index(side)];
+  s.keys[capacity_ - ++s.pool_size] = key;
+  return true;
 }
 
-TaggedRecord DoubleHeap::Pop(HeapSide side) {
-  assert(!Empty(side));
-  size_t& n = side == HeapSide::kBottom ? bottom_size_ : top_size_;
-  TaggedRecord top = slots_[Slot(side, 0)];
-  slots_[Slot(side, 0)] = slots_[Slot(side, n - 1)];
-  --n;
-  if (n > 0) SiftDown(side, 0);
-  return top;
+Key DoubleHeap::Pop(HeapSide side) {
+  assert(HasCurrent(side));
+  Side& s = sides_[Index(side)];
+  Key* heap = s.keys.data();
+  WithOrder(side, [&](auto less) {
+    std::pop_heap(heap, heap + s.heap_size, less);
+  });
+  return heap[--s.heap_size];
 }
 
-TaggedRecord DoubleHeap::ReplaceTop(HeapSide side, const TaggedRecord& record) {
-  assert(!Empty(side));
-  TaggedRecord evicted = slots_[Slot(side, 0)];
-  slots_[Slot(side, 0)] = record;
-  SiftDown(side, 0);
+Key DoubleHeap::ReplaceTop(HeapSide side, Key key) {
+  assert(HasCurrent(side));
+  Side& s = sides_[Index(side)];
+  const Key evicted = s.keys[0];
+  WithOrder(side, [&](auto less) {
+    SiftDownFromRoot(s.keys.data(), s.heap_size, key, less);
+  });
   return evicted;
 }
 
-TaggedRecord DoubleHeap::PopLastLeaf(HeapSide side) {
-  assert(!Empty(side));
-  size_t& n = side == HeapSide::kBottom ? bottom_size_ : top_size_;
-  TaggedRecord leaf = slots_[Slot(side, n - 1)];
-  --n;
-  return leaf;
+Key DoubleHeap::PopLastLeaf(HeapSide side) {
+  assert(HasCurrent(side));
+  Side& s = sides_[Index(side)];
+  return s.keys[--s.heap_size];
 }
 
-bool DoubleHeap::TopIsRun(HeapSide side, uint32_t run) const {
-  return !Empty(side) && Top(side).run == run;
-}
-
-void DoubleHeap::SiftUp(HeapSide side, size_t logical) {
-  while (logical > 0) {
-    size_t parent = (logical - 1) / 2;
-    TaggedRecord& child_rec = slots_[Slot(side, logical)];
-    TaggedRecord& parent_rec = slots_[Slot(side, parent)];
-    if (!Before(side, child_rec, parent_rec)) break;
-    std::swap(child_rec, parent_rec);
-    logical = parent;
-  }
-}
-
-void DoubleHeap::SiftDown(HeapSide side, size_t logical) {
-  const size_t n = SideSize(side);
-  for (;;) {
-    size_t best = logical;
-    const size_t left = 2 * logical + 1;
-    const size_t right = 2 * logical + 2;
-    if (left < n &&
-        Before(side, slots_[Slot(side, left)], slots_[Slot(side, best)])) {
-      best = left;
+void DoubleHeap::StartNextRun() {
+  for (HeapSide side : {HeapSide::kBottom, HeapSide::kTop}) {
+    Side& s = sides_[Index(side)];
+    assert(s.heap_size == 0);
+    Key* heap = s.keys.data();
+    if (s.pool_size > 0) {
+      std::memmove(heap, heap + capacity_ - s.pool_size,
+                   s.pool_size * sizeof(Key));
     }
-    if (right < n &&
-        Before(side, slots_[Slot(side, right)], slots_[Slot(side, best)])) {
-      best = right;
-    }
-    if (best == logical) return;
-    std::swap(slots_[Slot(side, logical)], slots_[Slot(side, best)]);
-    logical = best;
+    s.heap_size = s.pool_size;
+    s.pool_size = 0;
+    WithOrder(side, [&](auto less) {
+      std::make_heap(heap, heap + s.heap_size, less);
+    });
   }
 }
 
-void DoubleHeap::AppendContents(std::vector<TaggedRecord>* out) const {
-  out->reserve(out->size() + size());
-  for (size_t i = 0; i < bottom_size_; ++i) {
-    out->push_back(slots_[Slot(HeapSide::kBottom, i)]);
-  }
-  for (size_t i = 0; i < top_size_; ++i) {
-    out->push_back(slots_[Slot(HeapSide::kTop, i)]);
+void DoubleHeap::AppendCurrentRunKeys(std::vector<Key>* out) const {
+  for (const Side& s : sides_) {
+    out->insert(out->end(), s.keys.begin(), s.keys.begin() + s.heap_size);
   }
 }
 
 bool DoubleHeap::IsValid() const {
+  if (size() > capacity_) return false;
   for (HeapSide side : {HeapSide::kBottom, HeapSide::kTop}) {
-    const size_t n = SideSize(side);
-    for (size_t i = 1; i < n; ++i) {
-      if (Before(side, slots_[Slot(side, i)], slots_[Slot(side, (i - 1) / 2)])) {
-        return false;
-      }
-    }
+    const Side& s = sides_[Index(side)];
+    const bool ok = WithOrder(side, [&](auto less) {
+      return std::is_heap(s.keys.begin(), s.keys.begin() + s.heap_size, less);
+    });
+    if (!ok) return false;
   }
   return true;
 }

@@ -1,6 +1,7 @@
 #ifndef TWRS_HEAP_DOUBLE_HEAP_H_
 #define TWRS_HEAP_DOUBLE_HEAP_H_
 
+#include <cassert>
 #include <cstddef>
 #include <vector>
 
@@ -17,86 +18,114 @@ enum class HeapSide {
 /// Returns "Bottom"/"Top" for logging and test diagnostics.
 const char* HeapSideName(HeapSide side);
 
-/// The two heaps of 2WRS stored in one contiguous array (§4.1, Figs 4.3–4.5).
+/// The two heaps of 2WRS sharing one memory budget (§4.1, Figs 4.3–4.5).
 ///
-/// The BottomHeap (a max-heap on keys) starts at slot 0 and grows upward;
-/// the TopHeap (a min-heap) starts at the last slot and grows downward, so
-/// either heap can grow at the expense of the other without any dynamic
-/// allocation. Records tagged with a later run sort below all records of an
-/// earlier run on both sides, which is how run boundaries are detected
-/// (§3.3): when a side's top record belongs to a future run, so does
-/// everything beneath it.
+/// The BottomHeap is a max-heap on keys and the TopHeap a min-heap. Either
+/// side can grow at the expense of the other: the two sides together hold
+/// at most `capacity` records, however they are split.
+///
+/// Layout. §4.1 stores both heaps in a single array of run-tagged records,
+/// with records of the next run ranked below every current-run record
+/// (§3.3), so each sift step compares and moves 16-byte (key, run) pairs.
+/// Here the run tag is implicit instead. Each side owns an array of
+/// `capacity` bare keys. The current run's keys form a binary heap growing
+/// from the front; keys for the next run sit unordered in a pool growing
+/// from the back. The heap sifts 8-byte keys and never touches the pool.
+/// Two arrays of `capacity` keys take the same bytes as the paper's one
+/// array of `capacity` tagged records, and the shared `capacity` bound
+/// keeps the records held unchanged.
+///
+/// Next-run keys are never popped before StartNextRun(), which turns both
+/// pools into the new current-run heaps with one O(n) heapify each. The
+/// tagged array of §4.1 ranks every next-run record after the current run
+/// too, so each side pops the same key sequence under either layout.
 class DoubleHeap {
  public:
   /// Creates a double heap with room for `capacity` records in total.
   explicit DoubleHeap(size_t capacity);
 
-  /// Total slots available.
-  size_t capacity() const { return slots_.size(); }
+  /// Total records the two sides can hold together.
+  size_t capacity() const { return capacity_; }
 
-  /// Records currently stored across both heaps.
-  size_t size() const { return bottom_size_ + top_size_; }
-
-  size_t SideSize(HeapSide side) const {
-    return side == HeapSide::kBottom ? bottom_size_ : top_size_;
+  /// Records currently stored across both sides, either run.
+  size_t size() const {
+    return SideSize(HeapSide::kBottom) + SideSize(HeapSide::kTop);
   }
 
-  bool Full() const { return size() == capacity(); }
+  /// Records stored on `side`: current-run heap plus next-run pool.
+  size_t SideSize(HeapSide side) const {
+    const Side& s = sides_[Index(side)];
+    return s.heap_size + s.pool_size;
+  }
+
+  bool Full() const { return size() == capacity_; }
   bool Empty(HeapSide side) const { return SideSize(side) == 0; }
 
-  /// Adds a record to the given heap. Returns false (and stores nothing)
-  /// when the shared array is full.
-  bool Push(HeapSide side, const TaggedRecord& record);
+  /// True when `side` holds a current-run record, i.e. can emit for the
+  /// current run.
+  bool HasCurrent(HeapSide side) const {
+    return sides_[Index(side)].heap_size > 0;
+  }
 
-  /// Root of the given heap: the current-run extreme (max for Bottom, min
-  /// for Top), with future-run records ranked after every current-run
-  /// record. Requires the side to be non-empty.
-  const TaggedRecord& Top(HeapSide side) const;
+  /// Adds a current-run key to the given heap. Returns false (and stores
+  /// nothing) when the two sides together already hold `capacity` records.
+  [[nodiscard]] bool Push(HeapSide side, Key key);
 
-  /// Removes and returns the root of the given heap.
-  TaggedRecord Pop(HeapSide side);
+  /// Parks a key for the next run on the given side, unordered until
+  /// StartNextRun(). Returns false (and stores nothing) when full.
+  [[nodiscard]] bool PushNextRun(HeapSide side, Key key);
 
-  /// Replaces the root of the given heap with `record` and restores the
-  /// heap property, returning the evicted root. O(log n) with a single
-  /// sift-down — the cap-aware push used by bounded top-K selection: once
-  /// a selector's heap holds K records, every better candidate evicts the
-  /// current boundary element (the root) without changing the heap size.
-  /// Requires the side to be non-empty.
-  TaggedRecord ReplaceTop(HeapSide side, const TaggedRecord& record);
+  /// Root of the given current-run heap: the max for Bottom, the min for
+  /// Top. Requires HasCurrent(side).
+  Key Top(HeapSide side) const {
+    assert(HasCurrent(side));
+    return sides_[Index(side)].keys[0];
+  }
 
-  /// Removes an arbitrary leaf (the last slot) of the given heap in O(1).
-  /// Used by the Balancing heuristic to migrate records between heaps.
-  TaggedRecord PopLastLeaf(HeapSide side);
+  /// Removes and returns the root of the given current-run heap.
+  Key Pop(HeapSide side);
 
-  /// True when the root of `side` is a record of run `run` (i.e. the side
-  /// can emit for the current run).
-  bool TopIsRun(HeapSide side, uint32_t run) const;
+  /// Replaces the root of the given current-run heap with `key` and
+  /// restores the heap property, returning the evicted root. O(log n) with
+  /// a single sift-down — the cap-aware push used by bounded top-K
+  /// selection: once a selector's heap holds K records, every better
+  /// candidate evicts the current boundary element (the root) without
+  /// changing the heap size. Requires HasCurrent(side).
+  Key ReplaceTop(HeapSide side, Key key);
 
-  /// Appends every stored record (both sides, unspecified order) to `*out`.
-  /// Used by 2WRS to snapshot the heap contents when choosing the victim
-  /// buffer's initial valid range. O(n).
-  void AppendContents(std::vector<TaggedRecord>* out) const;
+  /// Removes an arbitrary leaf (the last slot) of the given current-run
+  /// heap in O(1). Used by the Balancing heuristic to migrate records
+  /// between heaps. Requires HasCurrent(side).
+  Key PopLastLeaf(HeapSide side);
 
-  /// Verifies the heap property on both sides; O(n). Test helper.
+  /// Begins the next run: each side's next-run pool becomes its current-run
+  /// heap. Requires that neither side has a current-run record left.
+  void StartNextRun();
+
+  /// Appends every current-run key (both sides, unspecified order) to
+  /// `*out`. Used by 2WRS to snapshot the heap contents when choosing the
+  /// victim buffer's initial valid range. O(n).
+  void AppendCurrentRunKeys(std::vector<Key>* out) const;
+
+  /// Verifies the heap property on both sides and the shared capacity
+  /// bound; O(n). Test helper.
   bool IsValid() const;
 
  private:
-  // Maps a heap-logical index to a slot in the shared array.
-  size_t Slot(HeapSide side, size_t logical) const {
-    return side == HeapSide::kBottom ? logical
-                                     : slots_.size() - 1 - logical;
+  // Keys of one side: the current-run heap occupies [0, heap_size), the
+  // next-run pool [keys.size() - pool_size, keys.size()).
+  struct Side {
+    std::vector<Key> keys;
+    size_t heap_size = 0;
+    size_t pool_size = 0;
+  };
+
+  static size_t Index(HeapSide side) {
+    return side == HeapSide::kBottom ? 0 : 1;
   }
 
-  // True when `a` must be popped before `b` on the given side.
-  static bool Before(HeapSide side, const TaggedRecord& a,
-                     const TaggedRecord& b);
-
-  void SiftUp(HeapSide side, size_t logical);
-  void SiftDown(HeapSide side, size_t logical);
-
-  std::vector<TaggedRecord> slots_;
-  size_t bottom_size_ = 0;
-  size_t top_size_ = 0;
+  size_t capacity_;
+  Side sides_[2];
 };
 
 }  // namespace twrs

@@ -16,24 +16,21 @@ DualHeapSelector::DualHeapSelector(size_t capacity, SelectOrder order)
 void DualHeapSelector::Add(Key key) {
   ++consumed_;
   if (capacity_ == 0) return;
-  const TaggedRecord record{key, 0};
-  if (heap_.size() < capacity_) {
-    heap_.Push(side_, record);
-    return;
-  }
+  // Until the selector holds K records, every key is kept.
+  if (!heap_.Full() && heap_.Push(side_, key)) return;
   // Strict comparison: an incoming key equal to the bound cannot improve
   // the selection (records are bare keys), so ties never churn the heap.
   const bool beats_bound = order_ == SelectOrder::kAscending
-                               ? key < heap_.Top(side_).key
-                               : key > heap_.Top(side_).key;
-  if (beats_bound) heap_.ReplaceTop(side_, record);
+                               ? key < heap_.Top(side_)
+                               : key > heap_.Top(side_);
+  if (beats_bound) heap_.ReplaceTop(side_, key);
 }
 
 std::vector<Key> DualHeapSelector::Take() {
   std::vector<Key> keys;
   keys.reserve(heap_.size());
   // Bottom (max-heap) pops descending; Top (min-heap) pops ascending.
-  while (!heap_.Empty(side_)) keys.push_back(heap_.Pop(side_).key);
+  while (!heap_.Empty(side_)) keys.push_back(heap_.Pop(side_));
   if (order_ == SelectOrder::kAscending) {
     std::reverse(keys.begin(), keys.end());
   }

@@ -42,7 +42,7 @@ class DualHeapSelector {
   /// Current selection boundary: the key a candidate must beat to enter a
   /// full selector (the largest kept key when ascending, the smallest when
   /// descending). Requires size() == capacity() > 0.
-  Key bound() const { return heap_.Top(side_).key; }
+  Key bound() const { return heap_.Top(side_); }
 
   /// Drains the selector and returns the selected records in ascending key
   /// order. The selector is empty (but reusable) afterwards.

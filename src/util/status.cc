@@ -28,6 +28,9 @@ std::string Status::ToString() const {
     case Code::kBusy:
       label = "Busy";
       break;
+    case Code::kInternal:
+      label = "Internal error";
+      break;
   }
   std::string out = label;
   if (!message_.empty()) {

@@ -29,6 +29,7 @@ class [[nodiscard]] Status {
     kNotSupported = 5,
     kCancelled = 6,
     kBusy = 7,
+    kInternal = 8,  ///< a broken internal invariant; never expected
   };
 
   /// Creates an OK status.
@@ -61,6 +62,9 @@ class [[nodiscard]] Status {
   static Status Busy(std::string msg) {
     return Status(Code::kBusy, std::move(msg));
   }
+  static Status Internal(std::string msg) {
+    return Status(Code::kInternal, std::move(msg));
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
@@ -70,6 +74,7 @@ class [[nodiscard]] Status {
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   bool IsCancelled() const { return code_ == Code::kCancelled; }
   bool IsBusy() const { return code_ == Code::kBusy; }
+  bool IsInternal() const { return code_ == Code::kInternal; }
 
   Code code() const { return code_; }
   const std::string& message() const { return message_; }

@@ -8,7 +8,10 @@
 namespace twrs {
 namespace {
 
-TaggedRecord R(Key key, uint32_t run = 0) { return TaggedRecord{key, run}; }
+// Stores a current-run key; every heap below has room for it.
+void Put(DoubleHeap* heap, HeapSide side, Key key) {
+  ASSERT_TRUE(heap->Push(side, key));
+}
 
 TEST(HeuristicNamesTest, AllNamed) {
   EXPECT_STREQ(InputHeuristicName(InputHeuristic::kRandom), "Random");
@@ -77,9 +80,9 @@ TEST(HeuristicsTest, BalancingInsertsIntoSmallerHeap) {
   HeuristicEngine engine(InputHeuristic::kBalancing, OutputHeuristic::kRandom,
                          1);
   DoubleHeap heap(8);
-  heap.Push(HeapSide::kBottom, R(1));
-  heap.Push(HeapSide::kBottom, R(2));
-  heap.Push(HeapSide::kTop, R(3));
+  Put(&heap, HeapSide::kBottom, 1);
+  Put(&heap, HeapSide::kBottom, 2);
+  Put(&heap, HeapSide::kTop, 3);
   EXPECT_EQ(engine.ChooseInsertSide(0, nullptr, heap), HeapSide::kTop);
 }
 
@@ -87,7 +90,7 @@ TEST(HeuristicsTest, BalancingRebalancesAtRunStart) {
   HeuristicEngine engine(InputHeuristic::kBalancing, OutputHeuristic::kRandom,
                          1);
   DoubleHeap heap(16);
-  for (int i = 0; i < 10; ++i) heap.Push(HeapSide::kBottom, R(i));
+  for (int i = 0; i < 10; ++i) Put(&heap, HeapSide::kBottom, i);
   engine.OnRunStart(&heap);
   EXPECT_LE(heap.SideSize(HeapSide::kBottom), 6u);
   EXPECT_GE(heap.SideSize(HeapSide::kTop), 4u);
@@ -95,13 +98,40 @@ TEST(HeuristicsTest, BalancingRebalancesAtRunStart) {
   EXPECT_TRUE(heap.IsValid());
 }
 
+TEST(HeuristicsTest, BalancingCountsNextRunRecords) {
+  // Side sizes include the records parked for the next run, as in the
+  // paper's single tagged array.
+  HeuristicEngine engine(InputHeuristic::kBalancing, OutputHeuristic::kRandom,
+                         1);
+  DoubleHeap heap(8);
+  Put(&heap, HeapSide::kBottom, 1);
+  Put(&heap, HeapSide::kBottom, 2);
+  for (Key k : {5, 6, 7}) ASSERT_TRUE(heap.PushNextRun(HeapSide::kTop, k));
+  EXPECT_EQ(engine.ChooseInsertSide(0, nullptr, heap), HeapSide::kBottom);
+}
+
+TEST(HeuristicsTest, BalancingRebalancesPromotedNextRun) {
+  HeuristicEngine engine(InputHeuristic::kBalancing, OutputHeuristic::kRandom,
+                         1);
+  DoubleHeap heap(16);
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE(heap.PushNextRun(HeapSide::kTop, i));
+  }
+  heap.StartNextRun();
+  engine.OnRunStart(&heap);
+  EXPECT_EQ(heap.SideSize(HeapSide::kBottom), 4u);
+  EXPECT_EQ(heap.SideSize(HeapSide::kTop), 5u);
+  EXPECT_TRUE(heap.HasCurrent(HeapSide::kBottom));
+  EXPECT_TRUE(heap.IsValid());
+}
+
 TEST(HeuristicsTest, UsefulPrefersProductiveSide) {
   HeuristicEngine engine(InputHeuristic::kUseful, OutputHeuristic::kUseful, 1);
   DoubleHeap heap(8);
-  heap.Push(HeapSide::kBottom, R(1));
-  heap.Push(HeapSide::kBottom, R(2));
-  heap.Push(HeapSide::kTop, R(10));
-  heap.Push(HeapSide::kTop, R(11));
+  Put(&heap, HeapSide::kBottom, 1);
+  Put(&heap, HeapSide::kBottom, 2);
+  Put(&heap, HeapSide::kTop, 10);
+  Put(&heap, HeapSide::kTop, 11);
   // Record three outputs from Top, none from Bottom.
   engine.OnOutput(HeapSide::kTop, 10);
   engine.OnOutput(HeapSide::kTop, 11);
@@ -114,8 +144,8 @@ TEST(HeuristicsTest, OutputAlternateStartsWithBottom) {
   HeuristicEngine engine(InputHeuristic::kRandom, OutputHeuristic::kAlternate,
                          1);
   DoubleHeap heap(4);
-  heap.Push(HeapSide::kBottom, R(1));
-  heap.Push(HeapSide::kTop, R(2));
+  Put(&heap, HeapSide::kBottom, 1);
+  Put(&heap, HeapSide::kTop, 2);
   EXPECT_EQ(engine.ChooseOutputSide(heap), HeapSide::kBottom);
   EXPECT_EQ(engine.ChooseOutputSide(heap), HeapSide::kTop);
   EXPECT_EQ(engine.ChooseOutputSide(heap), HeapSide::kBottom);
@@ -128,10 +158,10 @@ TEST(HeuristicsTest, OutputBalancingPopsLargerHeap) {
   HeuristicEngine engine(InputHeuristic::kRandom, OutputHeuristic::kBalancing,
                          1);
   DoubleHeap heap(8);
-  heap.Push(HeapSide::kBottom, R(1));
-  heap.Push(HeapSide::kBottom, R(2));
-  heap.Push(HeapSide::kBottom, R(3));
-  heap.Push(HeapSide::kTop, R(4));
+  Put(&heap, HeapSide::kBottom, 1);
+  Put(&heap, HeapSide::kBottom, 2);
+  Put(&heap, HeapSide::kBottom, 3);
+  Put(&heap, HeapSide::kTop, 4);
   EXPECT_EQ(engine.ChooseOutputSide(heap), HeapSide::kBottom);
 }
 
@@ -139,8 +169,8 @@ TEST(HeuristicsTest, MinDistancePopsClosestToFirstOutput) {
   HeuristicEngine engine(InputHeuristic::kRandom,
                          OutputHeuristic::kMinDistance, 1);
   DoubleHeap heap(8);
-  heap.Push(HeapSide::kBottom, R(90));
-  heap.Push(HeapSide::kTop, R(200));
+  Put(&heap, HeapSide::kBottom, 90);
+  Put(&heap, HeapSide::kTop, 200);
   engine.OnOutput(HeapSide::kTop, 100);  // first output = 100
   // |90-100| = 10 < |200-100| = 100.
   EXPECT_EQ(engine.ChooseOutputSide(heap), HeapSide::kBottom);
@@ -153,8 +183,8 @@ TEST(HeuristicsTest, RandomSidesAreBothUsed) {
   HeuristicEngine engine(InputHeuristic::kRandom, OutputHeuristic::kRandom,
                          123);
   DoubleHeap heap(4);
-  heap.Push(HeapSide::kBottom, R(1));
-  heap.Push(HeapSide::kTop, R(2));
+  Put(&heap, HeapSide::kBottom, 1);
+  Put(&heap, HeapSide::kTop, 2);
   int bottom = 0;
   for (int i = 0; i < 200; ++i) {
     if (engine.ChooseInsertSide(0, nullptr, heap) == HeapSide::kBottom) {

@@ -18,6 +18,7 @@ TEST(StatusTest, FactoryConstructorsSetCodeAndMessage) {
   EXPECT_TRUE(Status::InvalidArgument("x").IsInvalidArgument());
   EXPECT_TRUE(Status::IOError("x").IsIOError());
   EXPECT_TRUE(Status::NotSupported("x").IsNotSupported());
+  EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_FALSE(Status::IOError("x").ok());
   EXPECT_EQ(Status::IOError("disk gone").message(), "disk gone");
 }
@@ -28,6 +29,7 @@ TEST(StatusTest, ToStringIncludesCodeAndMessage) {
   EXPECT_EQ(Status::NotFound("").ToString(), "Not found");
   EXPECT_EQ(Status::InvalidArgument("bad").ToString(),
             "Invalid argument: bad");
+  EXPECT_EQ(Status::Internal("lost").ToString(), "Internal error: lost");
 }
 
 Status FailsFirst() { return Status::Corruption("bad page"); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 
@@ -205,6 +207,393 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(static_cast<int>(OutputHeuristic::kRandom)),
                        ::testing::Values(0, 1, 2),  // input only, both, victim only
                        ::testing::Range(0, kNumDatasets)));
+
+// Golden streams: the exact sequence of (run boundary, RunStream, key) events
+// 2WRS emits, hashed per configuration. The constants pin the algorithm's
+// behaviour, not just its correctness, so a change to the heap layout or
+// the engine that alters any emission order fails here. Input heuristic
+// Balancing is excluded: its run-start migration pops a layout-dependent
+// leaf, so only its conservation and run counts are pinned (below).
+class HashingRunSink : public CollectingRunSink {
+ public:
+  Status BeginRun() override {
+    Feed(kBeginMarker);
+    return CollectingRunSink::BeginRun();
+  }
+  Status Append(RunStream stream, Key key) override {
+    Feed(static_cast<uint64_t>(stream));
+    Feed(key);
+    return CollectingRunSink::Append(stream, key);
+  }
+  Status EndRun() override {
+    Feed(kEndMarker);
+    return CollectingRunSink::EndRun();
+  }
+
+  uint64_t hash() const { return hash_; }
+
+ private:
+  static constexpr uint64_t kBeginMarker = 0xb0b0b0b0b0b0b0b0ULL;
+  static constexpr uint64_t kEndMarker = 0xe0e0e0e0e0e0e0e0ULL;
+
+  // SplitMix64 finalizer over the running state: order-sensitive.
+  void Feed(uint64_t v) {
+    uint64_t z = hash_ ^ (v + 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    hash_ = z ^ (z >> 31);
+  }
+
+  uint64_t hash_ = 0;
+};
+
+constexpr std::array<size_t, 3> kGoldenMemory = {64, 1000, 4096};
+constexpr int kGoldenInputHeuristics = 5;  // Random .. Useful
+constexpr uint64_t kGoldenRecords = 50000;
+
+// kGoldenHash[dataset][input heuristic][output heuristic][memory].
+constexpr uint64_t kGoldenHash[kNumDatasets][kGoldenInputHeuristics]
+                              [kNumOutputHeuristics][kGoldenMemory.size()] = {
+    {  // sorted
+        {  // Random
+            {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xca48115f0c3837f8ULL},
+            {0x844f498d9f98152fULL, 0x1541bb7ecdd0ec70ULL, 0x640e4e0ef3e82c59ULL},
+            {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xd254338e0e250f3bULL},
+            {0xb38767b0a8b31c06ULL, 0x83eed6b05961c80fULL, 0x1b0188bc73f85bd8ULL},
+            {0x0617807839705a74ULL, 0x4b8d53380d4606bfULL, 0xe96e1e9779fe3079ULL},
+        },
+        {  // Alternate
+            {0x707f68d94217e90eULL, 0xd5377b8cda497de2ULL, 0x91036bb05c05f496ULL},
+            {0x4c7785a5b1aaba68ULL, 0x930bcd66832bf865ULL, 0xb60e5ea60df53085ULL},
+            {0x060007a5876bd77eULL, 0x04ea4307b9c670aeULL, 0xea9678745c30ea89ULL},
+            {0x3bedd0697d3e1ba5ULL, 0x53a1a495079be50aULL, 0x1693a241776648d2ULL},
+            {0x2056fdc65d42781cULL, 0x8485546db2e01825ULL, 0x7fc54f460c6a967aULL},
+        },
+        {  // Mean
+            {0x3ea17c716d0c3e68ULL, 0x9b6e5cf98cf18ca4ULL, 0x0336725522ffe77dULL},
+            {0x3ea17c716d0c3e68ULL, 0xdedded580e03c10dULL, 0x78e01059f45fecb8ULL},
+            {0x3ea17c716d0c3e68ULL, 0x03d3e734cf53f792ULL, 0x899a27cae0e1f9f4ULL},
+            {0x6a225fc95adfaac5ULL, 0xc677b2b11b11d4f9ULL, 0x2d7ea9f85e94b414ULL},
+            {0x3ea17c716d0c3e68ULL, 0x69511b2eda32a394ULL, 0x50df6b8462860f7bULL},
+        },
+        {  // Median
+            {0x61286af6630bb428ULL, 0x9d911196c25bb82cULL, 0xbc1a59edfa05bd49ULL},
+            {0x4f1d10f0dce5e0d9ULL, 0x4ff67d097546047eULL, 0xb997919fcb87622fULL},
+            {0x99ab6272c914da82ULL, 0x3466215c782abbccULL, 0x4ad0fdd0431f574bULL},
+            {0xf75e01fa18e3d78aULL, 0x75b861aafff8cc5dULL, 0x4fe5be8acaad66d1ULL},
+            {0x9d1f20404db983f9ULL, 0xd375a056dfade0ddULL, 0x2ae26dda27d7c32cULL},
+        },
+        {  // Useful
+            {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xca48115f0c3837f8ULL},
+            {0x844f498d9f98152fULL, 0x1541bb7ecdd0ec70ULL, 0x640e4e0ef3e82c59ULL},
+            {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xd254338e0e250f3bULL},
+            {0xb38767b0a8b31c06ULL, 0x83eed6b05961c80fULL, 0x1b0188bc73f85bd8ULL},
+            {0x0617807839705a74ULL, 0x4b8d53380d4606bfULL, 0xe96e1e9779fe3079ULL},
+        },
+    },
+    {  // reverse-sorted
+        {  // Random
+            {0x94315f7411547e70ULL, 0xdcb8d2ffc18ea9f3ULL, 0x6b0df945a89f380bULL},
+            {0x8900d9be9a93e57eULL, 0xac29ab4bc9133dacULL, 0xfd2f91f53df9b368ULL},
+            {0x65d0a27b20111047ULL, 0x953f6c9730fb1fd9ULL, 0x11fdbe985813444cULL},
+            {0x8900d9be9a93e57eULL, 0x5b073637cb95bab5ULL, 0x39366ac8b2a07b19ULL},
+            {0x7205f639e97d3ec6ULL, 0x02c3ebdeb8d4b645ULL, 0x64f98a49ff595b15ULL},
+        },
+        {  // Alternate
+            {0x8900d9be9a93e57eULL, 0x51f467f5b4afbbadULL, 0xd73a1239af689b4aULL},
+            {0x8900d9be9a93e57eULL, 0x54369222669b7a6eULL, 0x7422069471ee8688ULL},
+            {0x8900d9be9a93e57eULL, 0x06b5339753ed35ddULL, 0x5a0a29636a3c5ff0ULL},
+            {0x8900d9be9a93e57eULL, 0xa02bfe5b2c5dc13bULL, 0x92089a50ad980ee6ULL},
+            {0x8900d9be9a93e57eULL, 0x7bd4702ee245864dULL, 0x98705a489d954125ULL},
+        },
+        {  // Mean
+            {0x8900d9be9a93e57eULL, 0xe676fb0eddb017e1ULL, 0x846c3e9ce392b6deULL},
+            {0x8900d9be9a93e57eULL, 0x2be71b38e8d80678ULL, 0xc4ff0c3753e8df06ULL},
+            {0x8900d9be9a93e57eULL, 0x485bbf613ff59ee8ULL, 0xa6599e1c10268945ULL},
+            {0x8900d9be9a93e57eULL, 0xdc19ebfbbefcaa01ULL, 0x8d89618df30139a7ULL},
+            {0x8900d9be9a93e57eULL, 0xead6d216e30e4431ULL, 0x61632ff7e08e385bULL},
+        },
+        {  // Median
+            {0x8900d9be9a93e57eULL, 0x977b9a544ccae036ULL, 0x6ee80a83cc8b24c0ULL},
+            {0x8900d9be9a93e57eULL, 0xbac05222cdd6cc3aULL, 0x1834f9755dc13168ULL},
+            {0x8900d9be9a93e57eULL, 0x17c41744e2689c34ULL, 0x27a73f61eccaa15aULL},
+            {0x8900d9be9a93e57eULL, 0xb51b4b555373ac7eULL, 0xb9bb38ba5bd27cebULL},
+            {0x8900d9be9a93e57eULL, 0x53f88d522a4dce40ULL, 0xa380a2a7dda64804ULL},
+        },
+        {  // Useful
+            {0x94315f7411547e70ULL, 0xdcb8d2ffc18ea9f3ULL, 0x6b0df945a89f380bULL},
+            {0x8900d9be9a93e57eULL, 0xac29ab4bc9133dacULL, 0xfd2f91f53df9b368ULL},
+            {0x65d0a27b20111047ULL, 0x953f6c9730fb1fd9ULL, 0x11fdbe985813444cULL},
+            {0x8900d9be9a93e57eULL, 0x5b073637cb95bab5ULL, 0x39366ac8b2a07b19ULL},
+            {0x7205f639e97d3ec6ULL, 0x02c3ebdeb8d4b645ULL, 0x64f98a49ff595b15ULL},
+        },
+    },
+    {  // alternating
+        {  // Random
+            {0x3c32d169efb27ff1ULL, 0x694aece6dcae4b0fULL, 0x954c04f6ac30e8e7ULL},
+            {0x74c2ceb32711a35cULL, 0x8735821723ad3aadULL, 0x6f053f0a764e56e3ULL},
+            {0xc92b62ad65686c17ULL, 0x01736785fc1c414eULL, 0xd4e27c3b418345c7ULL},
+            {0x85659aedd3924134ULL, 0x124eff3902d01804ULL, 0x95c747cf3822fc76ULL},
+            {0x93dfd146410fc84fULL, 0x9960e37bc9505f24ULL, 0x8078a9a36a7b048dULL},
+        },
+        {  // Alternate
+            {0xab4b6f547fda474bULL, 0x06e622e36c61a1f3ULL, 0x3e6259fe9e9459a0ULL},
+            {0x83a13331d069dc46ULL, 0x41d0c3cebe1b6527ULL, 0x3f3eac72b4477871ULL},
+            {0x5bae51509de8d24aULL, 0x18ff51f1f6a6dc11ULL, 0xddb65b9823d395fbULL},
+            {0x5f46caf150affca7ULL, 0x0dd3e055772ebde2ULL, 0x4ebe3f446c23aba1ULL},
+            {0xb089363518900aacULL, 0xf8dc7aa567e91035ULL, 0x3f8496e00f42c3d1ULL},
+        },
+        {  // Mean
+            {0x93fd6b41e1eb24f3ULL, 0xae79a6632605ab5bULL, 0x420a73ab59b14931ULL},
+            {0xfb246a1d34dce2dcULL, 0x4e069d6057048d3aULL, 0x4bd5d63a426f5967ULL},
+            {0x236410512f3f3cb9ULL, 0xe108ced4ff63856aULL, 0x1043dfd695fdf0f4ULL},
+            {0x720b6d7939fcbd5dULL, 0x08680280e1afdaadULL, 0xe142e803a8947991ULL},
+            {0x91d136d55c469735ULL, 0xb5ffdf21e2458c0cULL, 0xf822a032742988bdULL},
+        },
+        {  // Median
+            {0x13a7ecc5d0f64a56ULL, 0x1ee2dcccd24d9192ULL, 0x7d72a4281d30d3e1ULL},
+            {0xd4c21155ac080337ULL, 0x7f213c5cf595f544ULL, 0x38e1e63f7c16e2b0ULL},
+            {0xb8aca3e9d3a52cc2ULL, 0x3d0db3b7e4b20d70ULL, 0x81a5cd2f17238a8bULL},
+            {0x699d3f5e95ddeb01ULL, 0xe83a6bb1242a5560ULL, 0x28476fe2133c073aULL},
+            {0xdd94b90a4c8fd735ULL, 0xd34b1e6b9d58108fULL, 0xf67465d730e60e2fULL},
+        },
+        {  // Useful
+            {0x7be003a91d384c81ULL, 0x07172d58c867fd67ULL, 0x9b632e4043fa0bb6ULL},
+            {0xc10ec34f68c52b4eULL, 0x349a3df3bc7834ecULL, 0x95cbca2e229fd4daULL},
+            {0x3f51ddc5f2c1f161ULL, 0x9f478e9cf282d038ULL, 0x765d33a6b03edd47ULL},
+            {0xabb27c787cc69440ULL, 0xa888c5e28f3baed5ULL, 0xc66410db98e3f1e3ULL},
+            {0xeb3c5793cddd8c22ULL, 0xbfeec4bd82c5d395ULL, 0x6310040c81b99376ULL},
+        },
+    },
+    {  // random
+        {  // Random
+            {0xbbbae4296b6c4b69ULL, 0x5667d88a48b6a905ULL, 0xaab69b8406a1f95eULL},
+            {0x9519559995f04767ULL, 0x57a846f59bfd21ffULL, 0x2952909de35347d9ULL},
+            {0xada693c9a1474d6cULL, 0x6d090cde6fefd025ULL, 0x7b6490ca021abb60ULL},
+            {0x57579cd9fb9d6c6bULL, 0x2699a32ada7da0d3ULL, 0xb18e50c518b483dcULL},
+            {0x0797526e75be8284ULL, 0x3177d283feee4781ULL, 0x034b4c5e5041e081ULL},
+        },
+        {  // Alternate
+            {0x99dfb479847a7403ULL, 0x240831d024537f8eULL, 0x0266d748e7b6751aULL},
+            {0xa94fe5922202e7ecULL, 0xb76f5024adfa6e25ULL, 0xa6c47f8f865b48deULL},
+            {0xb33deda2aa87def2ULL, 0x487ba5239884cb29ULL, 0xc1ccfb001568a314ULL},
+            {0x7cc9a339bd71ba72ULL, 0x53122ba91249cd13ULL, 0xc9753a4df1ede03cULL},
+            {0xd2a907a1d9721cb7ULL, 0xe7fc1af0f12ad7eeULL, 0x29596ef9436a500dULL},
+        },
+        {  // Mean
+            {0x7fb0bb61cb3058d8ULL, 0xf0af47e1d839f2e3ULL, 0x83bb5ed30d79b590ULL},
+            {0xe3ba0340b86ab54dULL, 0x2e9947358dbb10efULL, 0xd77209ce40460861ULL},
+            {0x4bbc4aff01b8fbb6ULL, 0x82a8bb598ac9a05dULL, 0x7cfcd686ba5df917ULL},
+            {0x3da5028f7fcc8e78ULL, 0xcd2753fa2255eca0ULL, 0x0b402253293ab5a6ULL},
+            {0xb78253b1acf25634ULL, 0xb27a1809af219d16ULL, 0xa826f6cf01a867f1ULL},
+        },
+        {  // Median
+            {0xbd8a1307c5bd752fULL, 0x41e8453f4f22abc3ULL, 0x57da934c7111098dULL},
+            {0x26278f44dfdd562eULL, 0x27b92adbd16bc1a9ULL, 0xd205484fd97101feULL},
+            {0x9b79b939344bc9f3ULL, 0x276468e439a0837dULL, 0x55a233065aee71ffULL},
+            {0xa4be2ebaf193c94fULL, 0xad0f7653a4789cedULL, 0xf6d7b37894bfdf1fULL},
+            {0x9fc06b27d7e44f68ULL, 0xb05792dc7b6142abULL, 0xa5a4cf0649e7ddb8ULL},
+        },
+        {  // Useful
+            {0xda9738868d789d10ULL, 0x9528c306633ebb7fULL, 0x1b54e7e8106432a1ULL},
+            {0x96344e961e8621acULL, 0x63e0d0cd5e73da76ULL, 0x8e4c97abd966239eULL},
+            {0xe6bf00e2e39a4fdaULL, 0xd0fce7674a39c6acULL, 0x4ee3fd58f1fcf318ULL},
+            {0x910b0f02f3328035ULL, 0xe80df54e9e1c479dULL, 0xb22d4dff0fd37410ULL},
+            {0x1eb7634cb8ee79b4ULL, 0x66c3e3ed5b3a106cULL, 0xf8b8b7a9a50200b1ULL},
+        },
+    },
+    {  // mixed
+        {  // Random
+            {0x883c723cdf0b4306ULL, 0x582a97edda348865ULL, 0x38196b57e56664ddULL},
+            {0x0297200590e6955eULL, 0xd4c6d2e5a18e4ddbULL, 0x9820e040f83bc791ULL},
+            {0x04bbe0f12dca1b8cULL, 0x338aebe7e06d0941ULL, 0xcb264800a8f0207cULL},
+            {0x8ede11b14dafc03eULL, 0x08b583196d37babeULL, 0xa85cf3800a3e9d58ULL},
+            {0x4a827d027e74e215ULL, 0x2f337e995cdfdef4ULL, 0xe15c1127af0e7369ULL},
+        },
+        {  // Alternate
+            {0xba448c7f61b4663aULL, 0xfa0ee8fe1bbb6f13ULL, 0x233142b62a26a51dULL},
+            {0x53a87f03d8020246ULL, 0xa96c3abccc19ed1fULL, 0xd6f5b4b1eacc8e0aULL},
+            {0x9a97741e0fa30174ULL, 0xe3d99b90fcae2c90ULL, 0xe8f1907808e77253ULL},
+            {0x20a33a2142a346aaULL, 0x92362157af1f8f64ULL, 0x381b0766a5107d02ULL},
+            {0x069dc0c6b0eae43bULL, 0xbc92e47634e2eeabULL, 0xc17d929ba3c598b0ULL},
+        },
+        {  // Mean
+            {0x48bfee397ed4dd05ULL, 0x4888fc46d8ccf97bULL, 0x1698433f4603b794ULL},
+            {0x5e3dc29fde8c69faULL, 0xc83de9c4078c6132ULL, 0x3f51a3b3f0020346ULL},
+            {0x15a186932ccab435ULL, 0x281bd4ac49849b0bULL, 0xed9740eab542cf8aULL},
+            {0xaf49e2ebec0460feULL, 0x4f34c59edd14a3f0ULL, 0xb13fcf74995ee67bULL},
+            {0x6f4d1d0ed2180686ULL, 0x94242e085e34163dULL, 0x383d968eaeb4e504ULL},
+        },
+        {  // Median
+            {0x8325bb3d882e7520ULL, 0x4888fc46d8ccf97bULL, 0xbd14c398addf70bbULL},
+            {0x032bb46908423dfaULL, 0xc83de9c4078c6132ULL, 0xd3d3ef11a1a0e949ULL},
+            {0x9a97741e0fa30174ULL, 0x281bd4ac49849b0bULL, 0xacc3798095374663ULL},
+            {0xf86068a1e2622d77ULL, 0x4f34c59edd14a3f0ULL, 0x826d06b21c77ac3eULL},
+            {0xd80ecb8f0fb7ba89ULL, 0x94242e085e34163dULL, 0x626f45eca49ca0ceULL},
+        },
+        {  // Useful
+            {0x883c723cdf0b4306ULL, 0x582a97edda348865ULL, 0x38196b57e56664ddULL},
+            {0x0297200590e6955eULL, 0xd4c6d2e5a18e4ddbULL, 0x9820e040f83bc791ULL},
+            {0x04bbe0f12dca1b8cULL, 0x338aebe7e06d0941ULL, 0xcb264800a8f0207cULL},
+            {0x8ede11b14dafc03eULL, 0x08b583196d37babeULL, 0xa85cf3800a3e9d58ULL},
+            {0x4a827d027e74e215ULL, 0x2f337e995cdfdef4ULL, 0xe15c1127af0e7369ULL},
+        },
+    },
+    {  // mixed-imbalanced
+        {  // Random
+            {0xb3034f11c275c0afULL, 0x1b188211e3bc2fdcULL, 0xa0711ae27fb96135ULL},
+            {0x25e707ffd002d9b9ULL, 0x001fd510fc2ba436ULL, 0xec0ecfb6f3d9c0ebULL},
+            {0x947da594f7fd8db9ULL, 0x7f4867cfc832ee8cULL, 0x3636c261e74043f5ULL},
+            {0xfd6d6994c4c99a0cULL, 0x71f94355dbda7c99ULL, 0xe7590bdf7c2a8453ULL},
+            {0x988a1f3e44a3916bULL, 0xeba6ffc855155ddaULL, 0x14161df955fc1878ULL},
+        },
+        {  // Alternate
+            {0xe81e05a9109ef4f5ULL, 0xf5f8ee75fae5eae3ULL, 0x94c423e1f7947656ULL},
+            {0x13bce2428c6afaeaULL, 0xf3e24d74d32931efULL, 0x66192bd9958935daULL},
+            {0xcf1a80494cb41da7ULL, 0x63f25cc1eadc93d0ULL, 0x3fb996da2d30c186ULL},
+            {0x8b87bc231e558a56ULL, 0x559ad643b1945700ULL, 0x4659d8c89652e2e3ULL},
+            {0xf8ccfaa274e8d156ULL, 0xb8082400521fa909ULL, 0x9b05c1cbf420d6f6ULL},
+        },
+        {  // Mean
+            {0xd80183ad2e2fbcf8ULL, 0x110c7167d4a8bee0ULL, 0x5aa663c78c96d5a8ULL},
+            {0x631cec9d96da3f73ULL, 0x68a16b1f4c863eafULL, 0x7cf033805930b35dULL},
+            {0x27f3d6684f2b6f17ULL, 0xe2a547dd993d4116ULL, 0x5093ac4d2a572809ULL},
+            {0xe1fb2457e08d3752ULL, 0x7f76811efa9f77a6ULL, 0x694727f35712f637ULL},
+            {0x24288a7404fd0b49ULL, 0x8a31339f979b55eaULL, 0xede790a0a2d57b58ULL},
+        },
+        {  // Median
+            {0x583d6bce18dab5b4ULL, 0xaaa1b731c902d64fULL, 0xe324217e920d8f47ULL},
+            {0x4d968240275ea875ULL, 0x5f3ef8768e1a7746ULL, 0xeda896e556b179c4ULL},
+            {0xcf1a80494cb41da7ULL, 0xd52e57e2f7496ea4ULL, 0x492e8240850de2b0ULL},
+            {0xe98149138f953e3bULL, 0xc3ed30f4bfe401d3ULL, 0x6a71816c40b5a3c8ULL},
+            {0xf8ccfaa274e8d156ULL, 0x39bf1abcd00a76fdULL, 0x32fd36fe3ed3c638ULL},
+        },
+        {  // Useful
+            {0xb3034f11c275c0afULL, 0x1b188211e3bc2fdcULL, 0xa0711ae27fb96135ULL},
+            {0x25e707ffd002d9b9ULL, 0x001fd510fc2ba436ULL, 0xec0ecfb6f3d9c0ebULL},
+            {0x947da594f7fd8db9ULL, 0x7f4867cfc832ee8cULL, 0x3636c261e74043f5ULL},
+            {0xfd6d6994c4c99a0cULL, 0x71f94355dbda7c99ULL, 0xe7590bdf7c2a8453ULL},
+            {0x988a1f3e44a3916bULL, 0xeba6ffc855155ddaULL, 0x14161df955fc1878ULL},
+        },
+    },
+};
+
+// Runs per configuration under the Balancing input heuristic,
+// [dataset][output heuristic][memory].
+constexpr uint64_t kBalancingRuns[kNumDatasets][kNumOutputHeuristics]
+                                 [kGoldenMemory.size()] = {
+    {  // sorted
+        {1, 1, 1},  // Random
+        {1, 1, 1},  // Alternate
+        {1, 1, 1},  // Useful
+        {1, 1, 1},  // Balancing
+        {1, 1, 1},  // MinDistance
+    },
+    {  // reverse-sorted
+        {1, 1, 1},  // Random
+        {1, 1, 1},  // Alternate
+        {1, 1, 1},  // Useful
+        {1, 1, 1},  // Balancing
+        {1, 1, 1},  // MinDistance
+    },
+    {  // alternating
+        {50, 29, 7},  // Random
+        {50, 27, 7},  // Alternate
+        {50, 27, 8},  // Useful
+        {50, 28, 8},  // Balancing
+        {50, 29, 7},  // MinDistance
+    },
+    {  // random
+        {454, 36, 9},  // Random
+        {398, 37, 9},  // Alternate
+        {438, 34, 9},  // Useful
+        {430, 32, 8},  // Balancing
+        {447, 34, 9},  // MinDistance
+    },
+    {  // mixed
+        {1, 1, 1},  // Random
+        {1, 1, 1},  // Alternate
+        {1, 1, 1},  // Useful
+        {1, 1, 1},  // Balancing
+        {1, 1, 1},  // MinDistance
+    },
+    {  // mixed-imbalanced
+        {1, 1, 1},  // Random
+        {1, 1, 1},  // Alternate
+        {1, 1, 1},  // Useful
+        {1, 1, 1},  // Balancing
+        {1, 1, 1},  // MinDistance
+    },
+};
+
+struct GoldenResult {
+  uint64_t hash = 0;
+  std::vector<std::vector<Key>> runs;
+};
+
+GoldenResult RunGolden(const std::vector<Key>& input, InputHeuristic in,
+                       OutputHeuristic out, size_t memory) {
+  TwoWayOptions options = TwoWayOptions::Recommended(memory, /*seed=*/1);
+  options.input_heuristic = in;
+  options.output_heuristic = out;
+  TwoWayReplacementSelection twrs(options);
+  VectorSource source(input);
+  HashingRunSink sink;
+  const Status s = twrs.Generate(&source, &sink, nullptr);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return GoldenResult{sink.hash(), sink.collected()};
+}
+
+std::vector<Key> GoldenInput(int dataset) {
+  WorkloadOptions wl;
+  wl.num_records = kGoldenRecords;
+  wl.seed = 1;
+  return Drain(MakeWorkload(static_cast<Dataset>(dataset), wl).get());
+}
+
+class TwoWayGoldenTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TwoWayGoldenTest, StreamsMatchRecordedHashes) {
+  const int dataset = GetParam();
+  const std::vector<Key> input = GoldenInput(dataset);
+  for (int in = 0; in < kGoldenInputHeuristics; ++in) {
+    for (int out = 0; out < kNumOutputHeuristics; ++out) {
+      for (size_t m = 0; m < kGoldenMemory.size(); ++m) {
+        SCOPED_TRACE(::testing::Message()
+                     << DatasetName(static_cast<Dataset>(dataset)) << " in="
+                     << InputHeuristicName(static_cast<InputHeuristic>(in))
+                     << " out="
+                     << OutputHeuristicName(static_cast<OutputHeuristic>(out))
+                     << " memory=" << kGoldenMemory[m]);
+        const GoldenResult got =
+            RunGolden(input, static_cast<InputHeuristic>(in),
+                      static_cast<OutputHeuristic>(out), kGoldenMemory[m]);
+        EXPECT_EQ(got.hash, kGoldenHash[dataset][in][out][m]);
+      }
+    }
+  }
+}
+
+TEST_P(TwoWayGoldenTest, BalancingConservesRecordsAndRunCounts) {
+  const int dataset = GetParam();
+  const std::vector<Key> input = GoldenInput(dataset);
+  for (int out = 0; out < kNumOutputHeuristics; ++out) {
+    for (size_t m = 0; m < kGoldenMemory.size(); ++m) {
+      SCOPED_TRACE(::testing::Message()
+                   << DatasetName(static_cast<Dataset>(dataset)) << " out="
+                   << OutputHeuristicName(static_cast<OutputHeuristic>(out))
+                   << " memory=" << kGoldenMemory[m]);
+      const GoldenResult got =
+          RunGolden(input, InputHeuristic::kBalancing,
+                    static_cast<OutputHeuristic>(out), kGoldenMemory[m]);
+      ExpectValidRuns(got.runs, input);
+      EXPECT_EQ(got.runs.size(), kBalancingRuns[dataset][out][m]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDatasets, TwoWayGoldenTest,
+                         ::testing::Range(0, kNumDatasets));
 
 }  // namespace
 }  // namespace twrs
