@@ -21,7 +21,6 @@
 #include "core/two_way_replacement_selection.h"
 #include "io/posix_env.h"
 #include "io/sim_disk_env.h"
-#include "io/uring_env.h"
 #include "merge/external_sorter.h"
 #include "merge/kway_merge.h"
 #include "stats/anova.h"
@@ -324,8 +323,8 @@ inline TimedSort RunTimedSort(const TimedSortSpec& spec) {
   JsonEntry entry;
   if (!spec.label.empty()) entry.Str("label", spec.label);
   // io_backend is an identity field for bench_diff: simulated-disk rows
-  // always run the default (posix-backed) Env.
-  entry.Str("io_backend", IoBackendName(IoBackend::kDefault))
+  // keep the "default" tag so they still match older reports.
+  entry.Str("io_backend", "default")
       .Str("algorithm", RunGenAlgorithmName(spec.algorithm))
       .Str("dataset", DatasetName(spec.dataset))
       .Int("records", spec.records)
@@ -341,75 +340,6 @@ inline TimedSort RunTimedSort(const TimedSortSpec& spec) {
       .Num("total_seconds", timed.total_seconds)
       .Num("sim_run_gen_seconds", timed.sim_run_gen_seconds)
       .Num("sim_total_seconds", timed.sim_total_seconds)
-      .Int("bytes_read", result.bytes_read)
-      .Int("bytes_written", result.bytes_written)
-      .Num("records_per_second",
-           timed.total_seconds > 0
-               ? static_cast<double>(spec.records) / timed.total_seconds
-               : 0.0);
-  JsonReporter::Global().Add(entry);
-  return timed;
-}
-
-/// One timed end-to-end sort on the REAL filesystem through an explicit
-/// I/O backend — the posix-vs-uring sweep unit. No simulated disk: the
-/// point is what the kernel ring actually buys over the pump-thread
-/// decorators on genuine file I/O. Verifies the output and returns its
-/// count/checksum through the out-params so the caller can abort on any
-/// cross-backend divergence.
-inline TimedSort RunBackendTimedSort(const TimedSortSpec& spec,
-                                     IoBackend backend, uint64_t* count,
-                                     KeyChecksum* checksum) {
-  PosixEnv posix;
-  WorkloadOptions workload;
-  workload.num_records = spec.records;
-  workload.sections = spec.sections;
-  workload.seed = spec.seed;
-  const std::string input_path = spec.scratch_dir + "/backend_input";
-  CheckOk(WriteWorkloadToFile(&posix, spec.dataset, workload, input_path),
-          "write workload");
-
-  ExternalSortOptions options;
-  options.algorithm = spec.algorithm;
-  options.memory_records = spec.memory;
-  options.twrs = TwoWayOptions::Recommended(spec.memory, spec.seed);
-  options.fan_in = spec.fan_in;
-  options.temp_dir = spec.scratch_dir + "/tmp";
-  options.parallel = spec.parallel;
-  options.io_backend = backend;
-  ExternalSorter sorter(&posix, options);
-
-  const std::string out = spec.scratch_dir + "/backend_out";
-  FileRecordSource source(&posix, input_path);
-  ExternalSortResult result;
-  CheckOk(sorter.Sort(&source, out, &result), "backend sort");
-
-  TimedSort timed;
-  timed.num_runs = result.run_gen.num_runs();
-  timed.run_gen_seconds = result.run_gen_seconds;
-  timed.total_seconds = result.total_seconds;
-  timed.merge_steps = result.merge.merge_steps;
-
-  CheckOk(VerifySortedFile(&posix, out, count, checksum), "verify output");
-  CheckOk(posix.RemoveFile(input_path), "cleanup input");
-  CheckOk(posix.RemoveFile(out), "cleanup out");
-
-  JsonEntry entry;
-  if (!spec.label.empty()) entry.Str("label", spec.label);
-  entry.Str("io_backend", IoBackendName(backend))
-      .Str("algorithm", RunGenAlgorithmName(spec.algorithm))
-      .Str("dataset", DatasetName(spec.dataset))
-      .Int("records", spec.records)
-      .Int("memory_records", spec.memory)
-      .Int("fan_in", spec.fan_in)
-      .Int("sections", spec.sections)
-      .Int("seed", spec.seed)
-      .Int("worker_threads", spec.parallel.worker_threads)
-      .Int("final_merge_threads", spec.parallel.final_merge_threads)
-      .Int("num_runs", timed.num_runs)
-      .Int("merge_steps", timed.merge_steps)
-      .Num("run_gen_seconds", timed.run_gen_seconds)
-      .Num("total_seconds", timed.total_seconds)
       .Int("bytes_read", result.bytes_read)
       .Int("bytes_written", result.bytes_written)
       .Num("records_per_second",

@@ -130,68 +130,6 @@ void Run() {
       "\nExpected shape: the merge column shrinks as P grows until the\n"
       "emulated disk's bandwidth, not the single loser tree, is the\n"
       "bottleneck; output bytes are identical at every P.\n");
-
-  // I/O backend sweep: the same sort on the REAL filesystem, posix
-  // (pump-thread decorators) vs io_uring (kernel rings, thin decorators).
-  // Serial rows isolate the backends' raw write/read paths; pipelined rows
-  // pit the uring Env's native overlap against the posix pump threads the
-  // capability gates replace. Output identity across every cell is pinned
-  // by checksum — a divergent backend aborts the bench.
-  printf("\n== I/O backend sweep: posix vs io_uring (real filesystem) ==\n");
-  if (!IoUringEnv::IsSupported()) {
-    printf("io_uring unavailable, sweep skipped: %s\n",
-           IoUringEnv::UnsupportedReason().c_str());
-    return;
-  }
-  printf("\n");
-  TablePrinter io_table({"backend", "threads", "total s", "run gen s",
-                         "merge s", "vs posix"});
-  uint64_t ref_count = 0;
-  KeyChecksum ref_sum;
-  bool have_ref = false;
-  for (size_t threads : {size_t{0}, hw}) {
-    double posix_seconds = 0.0;
-    for (IoBackend backend : {IoBackend::kPosix, IoBackend::kUring}) {
-      TimedSortSpec spec;
-      spec.dataset = Dataset::kRandom;
-      spec.records = records;
-      spec.memory = memory;
-      spec.scratch_dir = dir;
-      spec.algorithm = RunGenAlgorithm::kTwoWayReplacementSelection;
-      spec.parallel.worker_threads = threads;
-      spec.parallel.prefetch_blocks = threads == 0 ? 0 : 2;
-      spec.parallel.dedicated_pool = true;
-      spec.label = threads == 0 ? "backend-serial" : "backend-pipelined";
-      uint64_t count = 0;
-      KeyChecksum sum;
-      const TimedSort timed = RunBackendTimedSort(spec, backend, &count, &sum);
-      if (!have_ref) {
-        ref_count = count;
-        ref_sum = sum;
-        have_ref = true;
-      } else if (count != ref_count || !(sum == ref_sum)) {
-        fprintf(stderr, "FATAL %s output differs from posix baseline\n",
-                IoBackendName(backend));
-        abort();
-      }
-      if (backend == IoBackend::kPosix) posix_seconds = timed.total_seconds;
-      io_table.AddRow({IoBackendName(backend), std::to_string(threads),
-                       TablePrinter::Num(timed.total_seconds, 3),
-                       TablePrinter::Num(timed.run_gen_seconds, 3),
-                       TablePrinter::Num(timed.total_seconds -
-                                             timed.run_gen_seconds, 3),
-                       TablePrinter::Num(
-                           timed.total_seconds > 0
-                               ? posix_seconds / timed.total_seconds
-                               : 0.0, 2)});
-    }
-  }
-  io_table.Print(std::cout);
-  printf(
-      "\nExpected shape: uring >= 1.0x vs posix on the write-heavy run\n"
-      "generation phase; the ring batches submissions where the posix path\n"
-      "pays a pump-thread handoff (or a blocking write when serial) per\n"
-      "block. Outputs are byte-identical across backends by construction.\n");
 }
 
 }  // namespace

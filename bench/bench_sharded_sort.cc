@@ -159,7 +159,7 @@ void Run() {
 
     JsonEntry entry;
     entry.Str("label", shards == 0 ? "unsharded" : "sharded")
-        .Str("io_backend", IoBackendName(IoBackend::kDefault))
+        .Str("io_backend", "default")
         .Int("shards", shards)
         .Int("records", records)
         .Int("memory_records", memory)
@@ -186,88 +186,6 @@ void Run() {
       "run generation included — concurrently on the shared executor, and\n"
       "their final merges write the output's byte ranges directly: the\n"
       "concat-equiv column is the wall time the removed pass would re-add.\n");
-
-  // I/O backend sweep: the sharded sort on the REAL filesystem, posix vs
-  // io_uring. The sharded path is the heaviest concurrent-writer workload
-  // in the engine — every shard's final merge lands positioned writes in
-  // the shared output — so it exercises the uring RandomRWFile slots the
-  // simulated-disk rows above never touch. Identity pinned by checksum.
-  printf("\n== I/O backend sweep: sharded sort, posix vs io_uring (real "
-         "filesystem) ==\n");
-  if (!IoUringEnv::IsSupported()) {
-    printf("io_uring unavailable, sweep skipped: %s\n",
-           IoUringEnv::UnsupportedReason().c_str());
-    CheckOk(posix.RemoveFile(input_path), "cleanup input");
-    return;
-  }
-  printf("\n");
-  TablePrinter io_table({"backend", "shards", "total s", "split s", "sort s",
-                         "vs posix"});
-  uint64_t io_ref_count = 0;
-  KeyChecksum io_ref_sum;
-  bool io_have_ref = false;
-  double io_posix_seconds = 0.0;
-  const size_t io_shards = std::min<size_t>(4, hw);
-  for (IoBackend backend : {IoBackend::kPosix, IoBackend::kUring}) {
-    const std::string out = dir + "/out_backend";
-    ExternalSortOptions sort_options;
-    sort_options.memory_records = memory;
-    sort_options.twrs = TwoWayOptions::Recommended(memory, 1);
-    sort_options.temp_dir = dir + "/tmp";
-    sort_options.parallel.worker_threads = hw;
-    sort_options.parallel.prefetch_blocks = 2;
-    sort_options.io_backend = backend;
-    ShardedSortOptions sharded;
-    sharded.shards = io_shards;
-    sharded.sort = sort_options;
-    ShardedSorter sorter(&posix, sharded);
-    ShardedSortResult result;
-    CheckOk(sorter.SortFile(input_path, out, &result), "backend sharded sort");
-    uint64_t count = 0;
-    KeyChecksum sum;
-    CheckOk(VerifySortedFile(&posix, out, &count, &sum), "verify output");
-    if (!io_have_ref) {
-      io_ref_count = count;
-      io_ref_sum = sum;
-      io_have_ref = true;
-      io_posix_seconds = result.total_seconds;
-    } else if (count != io_ref_count || !(sum == io_ref_sum)) {
-      fprintf(stderr, "FATAL %s sharded output differs from posix baseline\n",
-              IoBackendName(backend));
-      abort();
-    }
-    CheckOk(posix.RemoveFile(out), "cleanup out");
-    io_table.AddRow(
-        {IoBackendName(backend), std::to_string(io_shards),
-         TablePrinter::Num(result.total_seconds, 3),
-         TablePrinter::Num(result.split_seconds, 3),
-         TablePrinter::Num(result.sort_seconds, 3),
-         TablePrinter::Num(result.total_seconds > 0
-                               ? io_posix_seconds / result.total_seconds
-                               : 0.0, 2)});
-
-    JsonEntry entry;
-    entry.Str("label", "sharded-backend")
-        .Str("io_backend", IoBackendName(backend))
-        .Int("shards", io_shards)
-        .Int("records", records)
-        .Int("memory_records", memory)
-        .Int("executor_capacity", Executor::Shared().capacity())
-        .Num("total_seconds", result.total_seconds)
-        .Num("split_seconds", result.split_seconds)
-        .Num("sort_seconds", result.sort_seconds)
-        .Num("records_per_second",
-             result.total_seconds > 0
-                 ? static_cast<double>(records) / result.total_seconds
-                 : 0.0)
-        .Int("bytes_read", result.bytes_read)
-        .Int("bytes_written", result.bytes_written);
-    JsonReporter::Global().Add(entry);
-  }
-  io_table.Print(std::cout);
-  printf(
-      "\nExpected shape: uring >= 1.0x vs posix — positioned shard writes\n"
-      "batch through each file's ring instead of a sink pool handoff.\n");
   CheckOk(posix.RemoveFile(input_path), "cleanup input");
 }
 

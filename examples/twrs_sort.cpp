@@ -9,7 +9,8 @@
 //   --memory N                        memory budget in records (default 64Ki)
 //   --fan-in N                        merge fan-in (default 10)
 //   --temp-dir PATH                   scratch directory (default /tmp/twrs_sort)
-//   --buffers FRACTION                2WRS buffer fraction (default 0.02)
+//   --buffers FRACTION                2WRS buffer fraction in [0, 1)
+//                                     (default 0.02)
 //   --input-heuristic NAME            random|alternate|mean|median|useful|balancing
 //   --output-heuristic NAME           random|alternate|useful|balancing|mindistance
 //   --threads N                       N > 0 enables the pipelined path
@@ -17,11 +18,6 @@
 //                                     from the shared executor — size it
 //                                     with --executor-threads
 //   --prefetch N                      read-ahead blocks per merge input
-//   --io-backend posix|uring|auto     file I/O backend (default posix).
-//                                     `uring` requires a kernel with
-//                                     io_uring and a TWRS_WITH_URING
-//                                     build and fails loudly otherwise;
-//                                     `auto` degrades to posix silently
 //   --shards N|auto                   range shards sorted concurrently on the
 //                                     shared executor (1 = unsharded, default);
 //                                     `auto` plans the count from the input
@@ -52,6 +48,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "core/record.h"
@@ -69,11 +66,24 @@ int Usage() {
   fprintf(stderr,
           "usage: twrs_sort [options] <input> <output>\n"
           "       twrs_sort --generate <dataset> --records N <output>\n"
-          "run `head -45 examples/twrs_sort.cpp` for the option list\n");
+          "run `head -46 examples/twrs_sort.cpp` for the option list\n");
   return 2;
 }
 
 using twrs::examples::ParseCount;
+
+/// Strict parse of a fraction in [0, 1): the whole string must be a
+/// number (atof would read "abc" as 0 and run with it).
+bool ParseFraction(const char* v, double* out) {
+  if (v == nullptr || *v == '\0' || isspace(static_cast<unsigned char>(*v))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double parsed = strtod(v, &end);
+  if (*end != '\0' || !(parsed >= 0.0 && parsed < 1.0)) return false;
+  *out = parsed;
+  return true;
+}
 
 bool ParseAlgorithm(const std::string& name, twrs::RunGenAlgorithm* out) {
   if (name == "rs") {
@@ -180,9 +190,9 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       options.temp_dir = v;
     } else if (arg == "--buffers") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      twrs_options.buffer_fraction = atof(v);
+      if (!ParseFraction(next(), &twrs_options.buffer_fraction)) {
+        return Usage();
+      }
     } else if (arg == "--input-heuristic") {
       const char* v = next();
       if (v == nullptr ||
@@ -203,11 +213,6 @@ int main(int argc, char** argv) {
       uint64_t v = 0;
       if (!ParseCount(next(), &v) || v > 1024) return Usage();
       options.parallel.prefetch_blocks = v;
-    } else if (arg == "--io-backend") {
-      const char* v = next();
-      if (v == nullptr || !twrs::ParseIoBackend(v, &options.io_backend)) {
-        return Usage();
-      }
     } else if (arg == "--shards") {
       const char* v = next();
       if (v != nullptr && std::string(v) == "auto") {
@@ -273,23 +278,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Resolve the I/O backend up front: an explicit `--io-backend uring` on
-  // a kernel or build without io_uring is a configuration error and fails
-  // here with one line, before any file is touched.
-  twrs::IoBackend resolved_backend = twrs::IoBackend::kPosix;
-  {
-    twrs::Status s = twrs::ResolveIoBackend(options.io_backend,
-                                            &resolved_backend);
-    if (!s.ok()) {
-      fprintf(stderr, "twrs_sort: %s\n", s.ToString().c_str());
-      return 2;
-    }
-    if (resolved_backend == twrs::IoBackend::kDefault) {
-      resolved_backend = twrs::IoBackend::kPosix;
-    }
-  }
-  twrs::Env* env = twrs::Env::Default(resolved_backend);
-  options.io_backend = twrs::IoBackend::kDefault;  // env already resolved
+  twrs::Env* env = twrs::Env::Default();
 
   if (generate) {
     if (positionals != 1) return Usage();
@@ -309,7 +298,6 @@ int main(int argc, char** argv) {
   }
 
   if (positionals != 2) return Usage();
-  printf("io backend: %s\n", twrs::IoBackendName(resolved_backend));
   if (options.limit > 0 && (shards > 1 || shards_auto)) {
     fprintf(stderr,
             "--limit runs unsharded; drop --shards (a top-K output is not "
@@ -367,18 +355,20 @@ int main(int argc, char** argv) {
     // the executor's capacity either way).
     options.parallel.worker_threads = 1;
   }
+  // One dispatch for every shape: at 1 shard ShardedSorter runs the plain
+  // ExternalSorter, and its result is shard_results[0].
+  twrs::ShardedSortOptions sharded;
+  sharded.shards = shards;
+  sharded.sample_seed = seed;
+  sharded.sort = options;
+  twrs::ShardedSorter sorter(env, sharded);
+  twrs::ShardedSortResult result;
+  s = sorter.SortFile(positional[0], positional[1], &result);
+  if (!s.ok()) {
+    fprintf(stderr, "sort: %s\n", s.ToString().c_str());
+    return 1;
+  }
   if (shards > 1) {
-    twrs::ShardedSortOptions sharded;
-    sharded.shards = shards;
-    sharded.sample_seed = seed;
-    sharded.sort = options;
-    twrs::ShardedSorter sorter(env, sharded);
-    twrs::ShardedSortResult result;
-    s = sorter.SortFile(positional[0], positional[1], &result);
-    if (!s.ok()) {
-      fprintf(stderr, "sort: %s\n", s.ToString().c_str());
-      return 1;
-    }
     printf("%s sharded: %llu records over %zu shards, "
            "split %.3fs + sort %.3fs (direct range writes) = %.3fs\n",
            twrs::RunGenAlgorithmName(options.algorithm),
@@ -386,35 +376,27 @@ int main(int argc, char** argv) {
            result.shard_records.size(), result.split_seconds,
            result.sort_seconds, result.total_seconds);
   } else {
-    twrs::ExternalSorter sorter(env, options);
-    twrs::FileRecordSource source(env, positional[0]);
-    twrs::ExternalSortResult result;
-    s = sorter.Sort(&source, positional[1], &result);
-    if (!s.ok()) {
-      fprintf(stderr, "sort: %s\n", s.ToString().c_str());
-      return 1;
-    }
+    const twrs::ExternalSortResult& r = result.shard_results[0];
     if (options.limit > 0) {
       printf("top-%llu (%s) via %s: %llu of %llu records kept\n",
              static_cast<unsigned long long>(options.limit),
              twrs::SelectOrderName(options.order),
-             twrs::TopKStrategyName(result.topk_strategy),
-             static_cast<unsigned long long>(result.output_records),
-             static_cast<unsigned long long>(result.run_gen.total_records));
-      if (result.topk_strategy == twrs::TopKStrategy::kRunPruningMerge) {
+             twrs::TopKStrategyName(r.topk_strategy),
+             static_cast<unsigned long long>(r.output_records),
+             static_cast<unsigned long long>(r.run_gen.total_records));
+      if (r.topk_strategy == twrs::TopKStrategy::kRunPruningMerge) {
         printf("pruned: %llu runs, %llu records never read\n",
-               static_cast<unsigned long long>(result.merge.runs_pruned),
-               static_cast<unsigned long long>(result.merge.records_pruned));
+               static_cast<unsigned long long>(r.merge.runs_pruned),
+               static_cast<unsigned long long>(r.merge.records_pruned));
       }
     }
     printf("%s: %llu records, %llu runs (avg %.2fx memory), "
            "gen %.3fs + merge %.3fs = %.3fs\n",
            twrs::RunGenAlgorithmName(options.algorithm),
-           static_cast<unsigned long long>(result.output_records),
-           static_cast<unsigned long long>(result.run_gen.num_runs()),
-           result.run_gen.AverageRunLengthRelative(options.memory_records),
-           result.run_gen_seconds, result.merge_seconds,
-           result.total_seconds);
+           static_cast<unsigned long long>(r.output_records),
+           static_cast<unsigned long long>(r.run_gen.num_runs()),
+           r.run_gen.AverageRunLengthRelative(options.memory_records),
+           r.run_gen_seconds, r.merge_seconds, r.total_seconds);
   }
   if (verify) {
     uint64_t count = 0;

@@ -20,10 +20,6 @@
 //                     the K smallest keys; the service plans them
 //                     unsharded with a selection-aware (smaller) lease ask
 //   --max-shards N    adaptive planner ceiling (default 16)
-//   --io-backend posix|uring|auto
-//                     file I/O backend for every job (default posix).
-//                     `uring` fails with one line when the kernel or
-//                     build lacks io_uring; `auto` degrades to posix
 //   --temp-dir PATH   scratch root (default /tmp/twrs_sortd)
 //   --seed N          workload seed base (default 1)
 //   --cancel N        cancel the last N submitted jobs mid-flight
@@ -60,7 +56,7 @@ namespace {
 int Usage() {
   fprintf(stderr,
           "usage: twrs_sortd [options]\n"
-          "run `head -45 examples/twrs_sortd.cpp` for the option list\n");
+          "run `head -33 examples/twrs_sortd.cpp` for the option list\n");
   return 2;
 }
 
@@ -165,7 +161,6 @@ int main(int argc, char** argv) {
   uint64_t status_interval_ms = 0;
   std::string metrics_json;
   std::string temp_dir = "/tmp/twrs_sortd";
-  twrs::IoBackend io_backend = twrs::IoBackend::kDefault;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -204,11 +199,6 @@ int main(int argc, char** argv) {
       if (!ParseCount(next(), &max_shards) || max_shards == 0) {
         return Usage();
       }
-    } else if (arg == "--io-backend") {
-      const char* v = next();
-      if (v == nullptr || !twrs::ParseIoBackend(v, &io_backend)) {
-        return Usage();
-      }
     } else if (arg == "--temp-dir") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -236,22 +226,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Resolve the backend once for the whole fleet; an explicit `uring` on
-  // an unsupported kernel/build fails here, before any input is written.
-  twrs::IoBackend resolved_backend = twrs::IoBackend::kPosix;
-  {
-    twrs::Status bs = twrs::ResolveIoBackend(io_backend, &resolved_backend);
-    if (!bs.ok()) {
-      fprintf(stderr, "twrs_sortd: %s\n", bs.ToString().c_str());
-      return 2;
-    }
-    if (resolved_backend == twrs::IoBackend::kDefault) {
-      resolved_backend = twrs::IoBackend::kPosix;
-    }
-  }
-  printf("io backend: %s\n", twrs::IoBackendName(resolved_backend));
-  twrs::Env* env_ptr = twrs::Env::Default(resolved_backend);
-  twrs::Env& env = *env_ptr;
+  twrs::Env& env = *twrs::Env::Default();
   twrs::Status s = twrs::PreflightTempDir(&env, temp_dir);
   if (!s.ok()) {
     fprintf(stderr, "twrs_sortd: %s\n", s.ToString().c_str());

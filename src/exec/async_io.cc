@@ -223,10 +223,7 @@ Status MakeAsyncRecordWriter(Env* env, const std::string& path,
                              size_t async_buffer_bytes,
                              std::unique_ptr<RecordWriter>* out,
                              LatencyHistogram* flush_histogram) {
-  if (pool == nullptr || env->io_capabilities().async_appends) {
-    // Natively async backends (IoUringEnv) already overlap Append with the
-    // caller's compute; wrapping them would only add a copy and a pump
-    // task for overlap the kernel provides.
+  if (pool == nullptr) {
     *out = std::make_unique<RecordWriter>(env, path, block_bytes);
   } else {
     std::unique_ptr<WritableFile> file;

@@ -128,10 +128,8 @@ class PrefetchingSequentialFile : public SequentialFile {
 
 /// Creates `path` through `env` and returns a RecordWriter over it,
 /// writing through an AsyncWritableFile on `pool` — or directly when
-/// `pool` is null or `env` reports async_appends (a natively async
-/// backend needs no pump thread). The single construction point for every
-/// record stream that can be background-flushed (run sink streams, merge
-/// outputs).
+/// `pool` is null. The single construction point for every record stream
+/// that can be background-flushed (run sink streams, merge outputs).
 /// A non-null `flush_histogram` records the wall time of every background
 /// flush (pool mode only); it must outlive the writer.
 Status MakeAsyncRecordWriter(Env* env, const std::string& path,

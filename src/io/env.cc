@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "io/posix_env.h"
-#include "io/uring_env.h"
 
 namespace twrs {
 
@@ -69,65 +68,8 @@ Env* Env::Default() {
   return kDefault;
 }
 
-Env* Env::Default(IoBackend backend) {
-  IoBackend resolved = backend;
-  if (backend == IoBackend::kAuto) {
-    resolved =
-        IoUringEnv::IsSupported() ? IoBackend::kUring : IoBackend::kPosix;
-  }
-  if (resolved == IoBackend::kUring) {
-    static Env* const kUringEnv = new IoUringEnv();
-    return kUringEnv;
-  }
-  return Default();
-}
+Env* Env::Default(IoBackend /*backend*/) { return Default(); }
 
-const char* IoBackendName(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::kDefault:
-      return "default";
-    case IoBackend::kPosix:
-      return "posix";
-    case IoBackend::kUring:
-      return "uring";
-    case IoBackend::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-bool ParseIoBackend(const std::string& text, IoBackend* out) {
-  if (text == "posix") {
-    *out = IoBackend::kPosix;
-  } else if (text == "uring") {
-    *out = IoBackend::kUring;
-  } else if (text == "auto") {
-    *out = IoBackend::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Status ResolveIoBackend(IoBackend backend, IoBackend* resolved) {
-  switch (backend) {
-    case IoBackend::kDefault:
-    case IoBackend::kPosix:
-      *resolved = backend;
-      return Status::OK();
-    case IoBackend::kUring:
-      if (!IoUringEnv::IsSupported()) {
-        return Status::NotSupported("io backend 'uring' unavailable: " +
-                                    IoUringEnv::UnsupportedReason());
-      }
-      *resolved = IoBackend::kUring;
-      return Status::OK();
-    case IoBackend::kAuto:
-      *resolved = IoUringEnv::IsSupported() ? IoBackend::kUring
-                                            : IoBackend::kPosix;
-      return Status::OK();
-  }
-  return Status::InvalidArgument("unknown io backend");
-}
+const char* IoBackendName(IoBackend /*backend*/) { return "posix"; }
 
 }  // namespace twrs

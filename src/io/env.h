@@ -20,8 +20,8 @@ class WritableFile {
 
   /// Forces written data to stable storage (fdatasync semantics). The
   /// default is a no-op: MemEnv and SimDiskEnv have no volatile cache to
-  /// flush. Durable backends (PosixEnv, IoUringEnv) override it; the sort
-  /// pipeline calls it once on the final output before Close.
+  /// flush. PosixEnv overrides it; the sort pipeline calls it once on the
+  /// final output before Close.
   virtual Status Sync() { return Status::OK(); }
 
   /// Flushes buffered data and closes the handle. Idempotent.
@@ -59,27 +59,12 @@ class RandomRWFile {
   virtual Status Close() = 0;
 };
 
-/// What an Env's file handles already overlap internally. The async
-/// decorators (AsyncWritableFile, PrefetchingSequentialFile, the
-/// double-buffered RangeMergeSink flush) consult this and stay thin —
-/// no pump thread, no extra copy — when the backend is natively async.
-struct IoCapabilities {
-  /// WritableFile::Append returns before the data hits the disk; the
-  /// backend overlaps the write with the caller's compute.
-  bool async_appends = false;
-  /// SequentialFile::Read is fed by backend-side read-ahead.
-  bool async_reads = false;
-  /// RandomRWFile::WriteAt is submitted without blocking on completion.
-  bool async_positioned_writes = false;
-};
+/// Empty: kept only because the sort benchmark's Env overrides
+/// Env::io_capabilities().
+struct IoCapabilities {};
 
-/// Selects which Env implementation Env::Default(IoBackend) returns.
-enum class IoBackend {
-  kDefault,  ///< whatever Env the caller already holds (no override)
-  kPosix,    ///< blocking read/write PosixEnv
-  kUring,    ///< kernel submission/completion rings (IoUringEnv)
-  kAuto,     ///< kUring when supported at runtime, else kPosix
-};
+/// The only I/O backend; kept because the sort benchmark names it.
+enum class IoBackend { kPosix };
 
 /// Abstraction over the storage system (RocksDB idiom). The library performs
 /// all file I/O through an Env so that tests can run against an in-memory
@@ -127,33 +112,18 @@ class Env {
   virtual Status ListDir(const std::string& path,
                          std::vector<std::string>* names);
 
-  /// What this Env's handles overlap internally (all-false by default).
-  /// Decorators forward to their base so capability checks see through
-  /// CountingEnv/SimDiskEnv wrapping.
+  /// Kept only because the sort benchmark's Env overrides it.
   virtual IoCapabilities io_capabilities() const { return IoCapabilities(); }
 
   /// Returns the process-wide POSIX environment.
   static Env* Default();
 
-  /// Returns the process-wide Env for `backend` (leaked singletons, one
-  /// per backend). kDefault and kPosix return Default(); kUring returns
-  /// the IoUringEnv (which must be supported — check with
-  /// ResolveIoBackend first); kAuto resolves to uring when supported.
+  /// Returns Default(); kept because the sort benchmark calls it.
   static Env* Default(IoBackend backend);
 };
 
-/// Short lowercase name of a backend ("posix", "uring", "auto", ...).
+/// Returns "posix"; kept because the sort benchmark reports it.
 const char* IoBackendName(IoBackend backend);
-
-/// Parses "posix" / "uring" / "auto" into `*out`. False on anything else.
-bool ParseIoBackend(const std::string& text, IoBackend* out);
-
-/// Resolves `backend` to a concrete choice (kPosix or kUring) against
-/// runtime support. kAuto degrades to kPosix when io_uring is
-/// unavailable; an explicit kUring request fails with a one-line error
-/// naming the reason instead. kDefault resolves to kDefault (meaning
-/// "keep the Env you already have").
-Status ResolveIoBackend(IoBackend backend, IoBackend* resolved);
 
 /// Recursively removes everything under `path` and then `path` itself,
 /// ignoring errors. Error-path cleanup helper: after a failed sort the

@@ -52,10 +52,9 @@ Status MakeAppendMergeSink(Env* env, const std::string& path, ThreadPool* pool,
                            bool sync_on_finish) {
   std::unique_ptr<WritableFile> file;
   TWRS_RETURN_IF_ERROR(env->NewWritableFile(path, &file));
-  if (pool != nullptr && !env->io_capabilities().async_appends) {
+  if (pool != nullptr) {
     // Time the background flushes, not the sink's memcpy-into-buffer
-    // Appends: the histogram should see real write I/O. Natively async
-    // backends skip the wrap — their Append already overlaps the merge.
+    // Appends: the histogram should see real write I/O.
     auto async = std::make_unique<AsyncWritableFile>(std::move(file), pool,
                                                      async_buffer_bytes);
     async->set_flush_histogram(flush_histogram);
@@ -197,13 +196,9 @@ Status MakeRangeMergeSink(Env* env, const std::string& path, uint64_t offset,
                           bool sync_on_finish) {
   std::unique_ptr<RandomRWFile> file;
   TWRS_RETURN_IF_ERROR(env->ReopenRandomRWFile(path, &file));
-  // A natively async WriteAt already returns before the bytes land, so the
-  // sink's own double-buffer pool path would only add a copy.
-  ThreadPool* sink_pool =
-      env->io_capabilities().async_positioned_writes ? nullptr : pool;
   *out = std::make_unique<RangeMergeSink>(std::move(file), offset, length,
-                                          sink_pool, buffer_bytes,
-                                          flush_histogram, sync_on_finish);
+                                          pool, buffer_bytes, flush_histogram,
+                                          sync_on_finish);
   return Status::OK();
 }
 

@@ -79,12 +79,11 @@ class AppendMergeSink : public MergeSink {
 
 /// Creates `path` (truncating) and returns an AppendMergeSink over it,
 /// writing through a double-buffered AsyncWritableFile flushed on `pool` —
-/// or directly when `pool` is null or `env` reports async_appends (a
-/// natively async backend needs no pump thread). A non-null
-/// `flush_histogram` records the wall time of every flush that actually
-/// reaches the file (background flushes with a pool, synchronous appends
-/// without); it must outlive the sink. `sync_on_finish` makes Finish force
-/// the bytes to stable storage before closing.
+/// or directly when `pool` is null. A non-null `flush_histogram` records
+/// the wall time of every flush that actually reaches the file (background
+/// flushes with a pool, synchronous appends without); it must outlive the
+/// sink. `sync_on_finish` makes Finish force the bytes to stable storage
+/// before closing.
 Status MakeAppendMergeSink(Env* env, const std::string& path, ThreadPool* pool,
                            size_t async_buffer_bytes,
                            std::unique_ptr<MergeSink>* out,
@@ -162,9 +161,7 @@ class RangeMergeSink : public MergeSink {
 /// Opens `path` for positioned writes without truncation and returns a
 /// RangeMergeSink over [offset, offset + length) of it. The file must
 /// already exist (its creator truncates exactly once, before any range
-/// writer starts). When `env` reports async_positioned_writes the sink
-/// skips its own double buffering — the backend's WriteAt already returns
-/// before the bytes land.
+/// writer starts).
 Status MakeRangeMergeSink(Env* env, const std::string& path, uint64_t offset,
                           uint64_t length, ThreadPool* pool,
                           size_t buffer_bytes, std::unique_ptr<MergeSink>* out,

@@ -78,10 +78,6 @@ class DiskModel {
 /// a DiskModel for every read and write. Used by the Chapter 6 benchmarks to
 /// reproduce seek-bound effects (e.g. the fan-in U-curve of Figure 6.1) that
 /// a page-cached SSD hides.
-///
-/// Deliberately keeps the default all-false io_capabilities() even over an
-/// async base: the simulated disk is a blocking device, and the pump-thread
-/// decorators it forces are exactly what the overlap benchmarks measure.
 class SimDiskEnv : public Env {
  public:
   /// Does not take ownership of `base`, which must outlive this Env.

@@ -104,25 +104,12 @@ Status ExternalSorter::SortInternal(RecordSource* source,
                                     const std::string& output_path,
                                     const MergeOutputRange& range,
                                     ExternalSortResult* result) {
-  // A non-default io_backend swaps the constructor-injected Env for the
-  // requested process-wide backend before any file is touched. kUring on
-  // an unsupported kernel/build fails the whole sort here — loudly, not
-  // with a mid-sort surprise.
-  Env* base_env = env_;
-  if (options_.io_backend != IoBackend::kDefault) {
-    IoBackend resolved = IoBackend::kDefault;
-    TWRS_RETURN_IF_ERROR(ResolveIoBackend(options_.io_backend, &resolved));
-    if (resolved != IoBackend::kDefault) {
-      base_env = Env::Default(resolved);
-    }
-  }
-
   // All engine I/O (runs, intermediate merges, output) goes through a
   // counting decorator so the result can report real byte volume. The
   // output path is watched so the error path knows whether this sort
   // truncated it (in range mode the file belongs to the caller and is
   // only ever reopened, so the watch never fires).
-  CountingEnv env(base_env);
+  CountingEnv env(env_);
   env.WatchPath(output_path);
   if (options_.progress != nullptr && options_.progress_bytes) {
     env.MirrorBytesTo(options_.progress->bytes_read_counter(),
@@ -132,8 +119,8 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   // Top-K dispatch. The dual-heap strategy replaces the whole run-gen +
   // merge pipeline with one bounded selection pass; the run-pruning
   // strategy is the normal pipeline with options_.limit threaded into the
-  // merge plan (see MergePlanningPhase), so it flows through the phase
-  // loop below unchanged.
+  // merge plan (see MergePlanningPhase), so it flows through the phases below
+  // unchanged.
   TopKStrategy strategy = TopKStrategy::kAuto;
   if (options_.limit > 0) {
     if (range.positioned) {
@@ -168,26 +155,22 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   context.output_range = range;
 
   Stopwatch total_watch;
-  RunGenerationPhase run_generation(source);
-  MergePlanningPhase planning;
-  FinalMergePhase final_merge(output_path);
-  SortPhase* const phases[] = {&run_generation, &planning, &final_merge};
-  for (SortPhase* phase : phases) {
-    Status s = phase->Run(&context);
-    if (!s.ok()) {
-      // A failed or cancelled sort must not leave scratch behind: the
-      // sort_dir still holds run files (and possibly intermediate merges)
-      // that no later pass will consume. An output this sort truncated is
-      // now torn and is removed too — but a pre-existing file the sort
-      // never opened is left untouched.
-      if (!options_.keep_temp_files) {
-        RemoveTreeBestEffort(&env, context.sort_dir);
-      }
-      if (env.watched_created()) {
-        TWRS_IGNORE_STATUS(env.RemoveFile(output_path));  // best-effort
-      }
-      return s;
+  Status s = RunGenerationPhase(source, &context);
+  if (s.ok()) s = MergePlanningPhase(&context);
+  if (s.ok()) s = FinalMergePhase(output_path, &context);
+  if (!s.ok()) {
+    // A failed or cancelled sort must not leave scratch behind: the
+    // sort_dir still holds run files (and possibly intermediate merges)
+    // that no later pass will consume. An output this sort truncated is
+    // now torn and is removed too — but a pre-existing file the sort
+    // never opened is left untouched.
+    if (!options_.keep_temp_files) {
+      RemoveTreeBestEffort(&env, context.sort_dir);
     }
+    if (env.watched_created()) {
+      TWRS_IGNORE_STATUS(env.RemoveFile(output_path));  // best-effort
+    }
+    return s;
   }
   context.result.total_seconds = total_watch.ElapsedSeconds();
 

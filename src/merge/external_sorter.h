@@ -114,14 +114,6 @@ struct ExternalSortOptions {
   /// I/O buffer per stream.
   size_t block_bytes = kDefaultBlockBytes;
 
-  /// Which process-wide Env serves the engine's file I/O. kDefault keeps
-  /// the Env the sorter was constructed with (tests inject MemEnv or
-  /// SimDiskEnv this way); kPosix/kUring/kAuto *replace* it with the
-  /// corresponding Env::Default backend. kUring fails the sort with
-  /// NotSupported when the kernel or build lacks io_uring; kAuto degrades
-  /// to posix silently. See ResolveIoBackend.
-  IoBackend io_backend = IoBackend::kDefault;
-
   /// Keep run/intermediate files after sorting (for inspection).
   bool keep_temp_files = false;
 

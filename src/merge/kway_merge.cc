@@ -79,9 +79,7 @@ Status RunCursor::Advance() {
         // construction point, so the skip must land on the raw handle.
         TWRS_RETURN_IF_ERROR(file->Skip(skip_remaining_ * kRecordBytes));
       }
-      if (prefetch_blocks_ > 0 && !env_->io_capabilities().async_reads) {
-        // A natively async backend (IoUringEnv) already keeps read-ahead
-        // blocks in flight; a pump thread on top would only add a copy.
+      if (prefetch_blocks_ > 0) {
         file = std::make_unique<PrefetchingSequentialFile>(
             std::move(file), block_bytes_, prefetch_blocks_);
       }

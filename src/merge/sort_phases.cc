@@ -5,7 +5,6 @@
 
 #include "core/run_generator.h"
 #include "exec/executor.h"
-#include "io/uring_env.h"
 #include "simd/dispatch.h"
 #include "util/stopwatch.h"
 
@@ -132,7 +131,7 @@ Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
   return Status::OK();
 }
 
-Status RunGenerationPhase::Run(SortContext* context) {
+Status RunGenerationPhase(RecordSource* input, SortContext* context) {
   const ExternalSortOptions& options = *context->options;
   if (context->progress != nullptr) {
     context->progress->AdvancePhase(SortProgressPhase::kRunGeneration);
@@ -149,9 +148,9 @@ Status RunGenerationPhase::Run(SortContext* context) {
   }
   FileRunSink sink(context->env, context->sort_dir, "sort", sink_options);
 
-  CancellableSource cancellable_source(source_, context->cancel);
+  CancellableSource cancellable_source(input, context->cancel);
   CancellableSink cancellable_sink(&sink, context->cancel);
-  RecordSource* source = source_;
+  RecordSource* source = input;
   RunSink* out = &sink;
   if (context->cancel != nullptr) {
     source = &cancellable_source;
@@ -172,7 +171,7 @@ Status RunGenerationPhase::Run(SortContext* context) {
   // A source that failed mid-stream (a torn input file, a read error) ended
   // early: the runs hold only a prefix of the input, and no output has been
   // opened yet, so the sort fails here without touching it.
-  TWRS_RETURN_IF_ERROR(source_->status());
+  TWRS_RETURN_IF_ERROR(input->status());
   if (IsCancelled(context->cancel)) {
     // The token fired after the last sink call (e.g. during the final
     // heap drain): the truncated input made generation "succeed", but the
@@ -194,7 +193,7 @@ Status RunGenerationPhase::Run(SortContext* context) {
   return Status::OK();
 }
 
-Status MergePlanningPhase::Run(SortContext* context) {
+Status MergePlanningPhase(SortContext* context) {
   const ExternalSortOptions& options = *context->options;
   if (context->progress != nullptr) {
     context->progress->AdvancePhase(SortProgressPhase::kMergePlanning);
@@ -231,14 +230,15 @@ Status MergePlanningPhase::Run(SortContext* context) {
   return Status::OK();
 }
 
-Status FinalMergePhase::Run(SortContext* context) {
+Status FinalMergePhase(const std::string& output_path,
+                       SortContext* context) {
   const ExternalSortOptions& options = *context->options;
   if (context->progress != nullptr) {
     context->progress->AdvancePhase(SortProgressPhase::kFinalMerge);
   }
   Stopwatch watch;
   TWRS_RETURN_IF_ERROR(MergeRuns(context->env, std::move(context->runs),
-                                 context->merge_plan, output_path_,
+                                 context->merge_plan, output_path,
                                  &context->result.merge));
   context->result.merge_seconds = watch.ElapsedSeconds();
   if (context->metrics != nullptr) {
@@ -252,10 +252,8 @@ Status FinalMergePhase::Run(SortContext* context) {
           ->Increment(context->result.merge.records_pruned);
     }
     // Mirror the per-kernel dispatch counters so the job's registry shows
-    // which simd paths this sort actually executed, and the io_uring
-    // submission/completion counters for sorts on the uring backend.
+    // which simd paths this sort actually executed.
     simd::PublishKernelCounters(context->metrics);
-    PublishIoUringCounters(context->metrics);
   }
   const uint64_t total = context->result.run_gen.total_records;
   context->result.output_records =

@@ -16,7 +16,8 @@
 
 namespace twrs {
 
-/// Shared state threaded through the phases of one external sort. Built by
+/// Shared state threaded through the three phases of one external sort
+/// (ExternalSorter::SortInternal calls them in order). Built by
 /// PrepareSortContext, consumed and extended by each phase in turn.
 struct SortContext {
   Env* env = nullptr;
@@ -63,54 +64,20 @@ struct SortContext {
 Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
                           SortContext* context);
 
-/// One phase of the external-sort pipeline. Phases are command objects over
-/// a SortContext, so a scheduler (e.g. shard/ShardedSorter) can compose and
-/// dispatch whole per-shard pipelines onto an Executor.
-class SortPhase {
- public:
-  virtual ~SortPhase() = default;
-
-  virtual const char* name() const = 0;
-
-  virtual Status Run(SortContext* context) = 0;
-};
-
-/// Phase 1: consumes the input through the configured run-generation
+/// Phase 1: consumes `input` through the configured run-generation
 /// algorithm, writing runs into sort_dir (async-flushed when the context
-/// has a pool) and recording run stats plus the phase time.
-class RunGenerationPhase : public SortPhase {
- public:
-  /// Does not take ownership of `source`.
-  explicit RunGenerationPhase(RecordSource* source) : source_(source) {}
-
-  const char* name() const override { return "run-generation"; }
-  Status Run(SortContext* context) override;
-
- private:
-  RecordSource* source_;
-};
+/// has a pool) and recording run stats plus the phase time. Does not take
+/// ownership of `input`.
+Status RunGenerationPhase(RecordSource* input, SortContext* context);
 
 /// Phase 2: derives the merge schedule configuration (fan-in, buffers,
 /// prefetch and pool wiring) from the sort options into context->merge_plan.
-class MergePlanningPhase : public SortPhase {
- public:
-  const char* name() const override { return "merge-planning"; }
-  Status Run(SortContext* context) override;
-};
+Status MergePlanningPhase(SortContext* context);
 
-/// Phase 3: executes the planned multi-pass merge of context->runs into the
-/// output file and records merge stats plus the phase time.
-class FinalMergePhase : public SortPhase {
- public:
-  explicit FinalMergePhase(std::string output_path)
-      : output_path_(std::move(output_path)) {}
-
-  const char* name() const override { return "final-merge"; }
-  Status Run(SortContext* context) override;
-
- private:
-  std::string output_path_;
-};
+/// Phase 3: executes the planned multi-pass merge of context->runs into
+/// `output_path` and records merge stats plus the phase time.
+Status FinalMergePhase(const std::string& output_path,
+                       SortContext* context);
 
 }  // namespace twrs
 

@@ -6,7 +6,6 @@
 
 #include "core/record.h"
 #include "exec/executor.h"
-#include "io/uring_env.h"
 #include "simd/dispatch.h"
 
 namespace twrs {
@@ -170,13 +169,6 @@ Status SortService::Submit(const SortJobSpec& spec, JobHandle* handle) {
   }
   if (spec.sort.memory_records == 0) {
     return Status::InvalidArgument("memory_records must be positive");
-  }
-  // Reject an unsupported io_uring request here, not minutes into the job.
-  // kAuto/kPosix/kDefault always resolve; only the backend choice is
-  // checked — the job still resolves it again when it runs.
-  {
-    IoBackend resolved = IoBackend::kDefault;
-    TWRS_RETURN_IF_ERROR(ResolveIoBackend(spec.sort.io_backend, &resolved));
   }
   if (!env_->FileExists(spec.input_path)) {
     return Status::NotFound("input file " + spec.input_path +
@@ -552,7 +544,6 @@ SortServiceStats SortService::Stats() const {
   // histogram is too much work to hold the scheduler's mutex across.
   if (metrics_ != nullptr) {
     simd::PublishKernelCounters(metrics_.get());
-    PublishIoUringCounters(metrics_.get());
     stats.metrics = metrics_->Snapshot();
   }
   return stats;

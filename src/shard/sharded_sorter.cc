@@ -70,19 +70,7 @@ Status ShardedSorter::Sort(RecordSource* source,
   }
 
   Stopwatch staging_watch;
-  // Resolve the I/O backend once for the whole job so staging, splitting
-  // and every per-shard sub-sort run on the same Env (the sub-sorts get
-  // io_backend cleared in SortStaged — they must keep this CountingEnv,
-  // not re-resolve and bypass the byte accounting).
-  Env* base_env = env_;
-  if (options_.sort.io_backend != IoBackend::kDefault) {
-    IoBackend resolved = IoBackend::kDefault;
-    TWRS_RETURN_IF_ERROR(ResolveIoBackend(options_.sort.io_backend, &resolved));
-    if (resolved != IoBackend::kDefault) {
-      base_env = Env::Default(resolved);
-    }
-  }
-  CountingEnv env(base_env);
+  CountingEnv env(env_);
   env.WatchPath(output_path);
   // Job-level byte progress comes from this outer env; the per-shard
   // sub-sorts below run with progress_bytes off so their nested
@@ -143,19 +131,7 @@ Status ShardedSorter::SortFile(const std::string& input_path,
   }
 
   Stopwatch staging_watch;
-  // Resolve the I/O backend once for the whole job so staging, splitting
-  // and every per-shard sub-sort run on the same Env (the sub-sorts get
-  // io_backend cleared in SortStaged — they must keep this CountingEnv,
-  // not re-resolve and bypass the byte accounting).
-  Env* base_env = env_;
-  if (options_.sort.io_backend != IoBackend::kDefault) {
-    IoBackend resolved = IoBackend::kDefault;
-    TWRS_RETURN_IF_ERROR(ResolveIoBackend(options_.sort.io_backend, &resolved));
-    if (resolved != IoBackend::kDefault) {
-      base_env = Env::Default(resolved);
-    }
-  }
-  CountingEnv env(base_env);
+  CountingEnv env(env_);
   env.WatchPath(output_path);
   // Job-level byte progress comes from this outer env; the per-shard
   // sub-sorts below run with progress_bytes off so their nested
@@ -314,9 +290,6 @@ Status ShardedSorter::SortStaged(CountingEnv* env,
       // Bytes are mirrored once by the caller's CountingEnv (see Sort /
       // SortFile); phase and record progress still flow through.
       shard_options.progress_bytes = false;
-      // The backend was already resolved into that CountingEnv's base; a
-      // sub-sort re-resolving it would swap out the counting layer.
-      shard_options.io_backend = IoBackend::kDefault;
       if (shard_options.parallel.executor == nullptr) {
         shard_options.parallel.executor = executor;
       }

@@ -9,7 +9,6 @@
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "io/record_io.h"
-#include "io/uring_env.h"
 #include "tests/test_util.h"
 
 namespace twrs {
@@ -317,69 +316,6 @@ TEST(AsyncIoIntegrationTest, RecordRoundTripThroughBothAdapters) {
     ASSERT_TWRS_OK(reader.Next(&k, &eof));
     EXPECT_TRUE(eof);
   }
-}
-
-// ------------------------------------------- natively async backends
-
-// A MemEnv claiming native async support: the decorator factories must
-// skip their pump-thread wrappers for it.
-class FakeAsyncEnv : public MemEnv {
- public:
-  IoCapabilities io_capabilities() const override {
-    IoCapabilities caps;
-    caps.async_appends = true;
-    caps.async_reads = true;
-    caps.async_positioned_writes = true;
-    return caps;
-  }
-};
-
-TEST(AsyncIoCapabilityTest, AsyncAppendsSkipsThePumpWrapper) {
-  // With async_appends reported, MakeAsyncRecordWriter must hand the file
-  // straight to the RecordWriter — byte-identical output, no pump thread
-  // double-buffering the natively-async backend.
-  FakeAsyncEnv env;
-  ThreadPool pool(2);
-  std::unique_ptr<RecordWriter> writer;
-  ASSERT_TWRS_OK(
-      MakeAsyncRecordWriter(&env, "records", 512, &pool, 2048, &writer));
-  std::vector<Key> keys(5000);
-  std::iota(keys.begin(), keys.end(), 7);
-  for (Key k : keys) ASSERT_TWRS_OK(writer->Append(k));
-  ASSERT_TWRS_OK(writer->Finish());
-
-  std::vector<Key> got;
-  ASSERT_TWRS_OK(ReadAllRecords(&env, "records", &got));
-  EXPECT_TRUE(got == keys);
-}
-
-TEST(AsyncIoCapabilityTest, UringBackendRoundTripsThroughTheFactory) {
-  if (!IoUringEnv::IsSupported()) {
-    GTEST_SKIP() << "io_uring unavailable: "
-                 << IoUringEnv::UnsupportedReason();
-  }
-  // End to end on the real natively-async backend: the factory writes
-  // directly through the uring file (no AsyncWritableFile wrap) and the
-  // bytes must match a plain posix read of the same file.
-  IoUringEnv env;
-  PosixEnv posix;
-  ThreadPool pool(2);
-  const std::string dir = twrs::testing::MakeTempDir();
-  ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
-  const std::string path = dir + "/records";
-  std::unique_ptr<RecordWriter> writer;
-  ASSERT_TWRS_OK(
-      MakeAsyncRecordWriter(&env, path, 512, &pool, 2048, &writer));
-  std::vector<Key> keys(20000);
-  std::iota(keys.begin(), keys.end(), 1);
-  for (Key k : keys) ASSERT_TWRS_OK(writer->Append(k));
-  ASSERT_TWRS_OK(writer->Finish());
-
-  std::vector<Key> via_uring, via_posix;
-  ASSERT_TWRS_OK(ReadAllRecords(&env, path, &via_uring));
-  ASSERT_TWRS_OK(ReadAllRecords(&posix, path, &via_posix));
-  EXPECT_TRUE(via_uring == keys);
-  EXPECT_TRUE(via_posix == keys) << "backends disagree on the file bytes";
 }
 
 }  // namespace

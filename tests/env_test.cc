@@ -10,7 +10,6 @@
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "io/sim_disk_env.h"
-#include "io/uring_env.h"
 #include "tests/test_util.h"
 
 namespace twrs {
@@ -18,12 +17,11 @@ namespace {
 
 using testing::MakeTempDir;
 
-enum class EnvKind { kMem, kPosix, kSimDisk, kUring };
+enum class EnvKind { kMem, kPosix, kSimDisk };
 
 // The Env contract must hold identically for the in-memory test
-// filesystem, the production POSIX one, the simulated-disk decorator the
-// benchmarks run on, and the io_uring backend (skipped where the kernel
-// or build lacks it).
+// filesystem, the production POSIX one and the simulated-disk decorator
+// the benchmarks run on.
 class EnvTest : public ::testing::TestWithParam<EnvKind> {
  protected:
   void SetUp() override {
@@ -32,13 +30,6 @@ class EnvTest : public ::testing::TestWithParam<EnvKind> {
       dir_ = "mem";
     } else if (GetParam() == EnvKind::kPosix) {
       env_ = std::make_unique<PosixEnv>();
-      dir_ = MakeTempDir();
-    } else if (GetParam() == EnvKind::kUring) {
-      if (!IoUringEnv::IsSupported()) {
-        GTEST_SKIP() << "io_uring unavailable: "
-                     << IoUringEnv::UnsupportedReason();
-      }
-      env_ = std::make_unique<IoUringEnv>();
       dir_ = MakeTempDir();
     } else {
       base_ = std::make_unique<MemEnv>();
@@ -320,8 +311,7 @@ TEST_P(EnvTest, RandomRWSyncThenCloseKeepsContents) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllEnvs, EnvTest,
-    ::testing::Values(EnvKind::kMem, EnvKind::kPosix, EnvKind::kSimDisk,
-                      EnvKind::kUring),
+    ::testing::Values(EnvKind::kMem, EnvKind::kPosix, EnvKind::kSimDisk),
     [](const ::testing::TestParamInfo<EnvKind>& info) {
       switch (info.param) {
         case EnvKind::kMem:
@@ -330,8 +320,6 @@ INSTANTIATE_TEST_SUITE_P(
           return "Posix";
         case EnvKind::kSimDisk:
           return "SimDisk";
-        case EnvKind::kUring:
-          return "Uring";
       }
       return "Unknown";
     });
@@ -383,88 +371,9 @@ TEST(EnvTest2, DefaultEnvIsUsable) {
   EXPECT_EQ(env, Env::Default());  // singleton
 }
 
-TEST(IoBackendTest, ParseAcceptsKnownNamesOnly) {
-  IoBackend b = IoBackend::kDefault;
-  EXPECT_TRUE(ParseIoBackend("posix", &b));
-  EXPECT_EQ(b, IoBackend::kPosix);
-  EXPECT_TRUE(ParseIoBackend("uring", &b));
-  EXPECT_EQ(b, IoBackend::kUring);
-  EXPECT_TRUE(ParseIoBackend("auto", &b));
-  EXPECT_EQ(b, IoBackend::kAuto);
-  EXPECT_FALSE(ParseIoBackend("io_uring", &b));
-  EXPECT_FALSE(ParseIoBackend("", &b));
-}
-
-TEST(IoBackendTest, ResolveFollowsRuntimeSupport) {
-  IoBackend resolved = IoBackend::kAuto;
-  ASSERT_TWRS_OK(ResolveIoBackend(IoBackend::kPosix, &resolved));
-  EXPECT_EQ(resolved, IoBackend::kPosix);
-  // kDefault means "keep the Env you already have" and resolves to itself.
-  ASSERT_TWRS_OK(ResolveIoBackend(IoBackend::kDefault, &resolved));
-  EXPECT_EQ(resolved, IoBackend::kDefault);
-  // kAuto never fails: uring when the kernel+build support it, else posix.
-  ASSERT_TWRS_OK(ResolveIoBackend(IoBackend::kAuto, &resolved));
-  EXPECT_EQ(resolved, IoUringEnv::IsSupported() ? IoBackend::kUring
-                                                : IoBackend::kPosix);
-  // An explicit kUring request resolves only on support and otherwise
-  // fails with the probe's reason, never silently degrades.
-  Status s = ResolveIoBackend(IoBackend::kUring, &resolved);
-  if (IoUringEnv::IsSupported()) {
-    ASSERT_TWRS_OK(s);
-    EXPECT_EQ(resolved, IoBackend::kUring);
-  } else {
-    EXPECT_FALSE(s.ok());
-    EXPECT_NE(s.ToString().find(IoUringEnv::UnsupportedReason()),
-              std::string::npos)
-        << s.ToString();
-  }
-}
-
 TEST(IoBackendTest, DefaultFactoryReturnsSingletons) {
   EXPECT_EQ(Env::Default(IoBackend::kPosix), Env::Default());
-  EXPECT_EQ(Env::Default(IoBackend::kDefault), Env::Default());
-  if (IoUringEnv::IsSupported()) {
-    Env* uring = Env::Default(IoBackend::kUring);
-    ASSERT_NE(uring, nullptr);
-    EXPECT_NE(uring, Env::Default());
-    EXPECT_EQ(uring, Env::Default(IoBackend::kUring));  // singleton
-    EXPECT_TRUE(uring->io_capabilities().async_appends);
-  }
-}
-
-TEST(IoUringEnvTest, ODirectRoundTripsUnalignedSizes) {
-  if (!IoUringEnv::IsSupported()) {
-    GTEST_SKIP() << "io_uring unavailable: "
-                 << IoUringEnv::UnsupportedReason();
-  }
-  // O_DIRECT pads the tail block internally; the observable file must
-  // still have the exact logical size and bytes. On filesystems without
-  // O_DIRECT (tmpfs) the env degrades to buffered I/O — same contract.
-  IoUringEnvOptions options;
-  options.use_o_direct = true;
-  IoUringEnv env(options);
-  const std::string dir = MakeTempDir();
-  ASSERT_TWRS_OK(env.CreateDirIfMissing(dir));
-  const std::string path = dir + "/odirect";
-  std::string payload;
-  for (int i = 0; i < 10000; ++i) payload.push_back(static_cast<char>(i % 251));
-  {
-    std::unique_ptr<WritableFile> w;
-    ASSERT_TWRS_OK(env.NewWritableFile(path, &w));
-    ASSERT_TWRS_OK(w->Append(payload.data(), payload.size()));
-    ASSERT_TWRS_OK(w->Sync());
-    ASSERT_TWRS_OK(w->Close());
-  }
-  uint64_t size = 0;
-  ASSERT_TWRS_OK(env.GetFileSize(path, &size));
-  EXPECT_EQ(size, payload.size());
-  std::unique_ptr<SequentialFile> r;
-  ASSERT_TWRS_OK(env.NewSequentialFile(path, &r));
-  std::string got(payload.size(), '\0');
-  size_t read = 0;
-  ASSERT_TWRS_OK(r->Read(&got[0], got.size(), &read));
-  ASSERT_EQ(read, payload.size());
-  EXPECT_EQ(got, payload);
+  EXPECT_STREQ(IoBackendName(IoBackend::kPosix), "posix");
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "core/load_sort_store.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
-#include "io/uring_env.h"
 #include "util/random.h"
 #include "simd/dispatch.h"
 #include "tests/test_util.h"
@@ -894,16 +893,13 @@ TEST(VerifySortedFileTest, MissingFileIsAnError) {
   EXPECT_FALSE(VerifySortedFile(&env, "absent", nullptr, nullptr).ok());
 }
 
-// ----------------------------------------------------- io_backend plumbing
+// ------------------------------------------------ real-file pooled sort
 
-TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
-  if (!IoUringEnv::IsSupported()) {
-    GTEST_SKIP() << "io_uring unavailable: "
-                 << IoUringEnv::UnsupportedReason();
-  }
-  // The acceptance bar of the uring backend: same input, same options,
-  // different backend — the output files must be byte-identical, not just
-  // both sorted permutations.
+TEST(ExternalSorterTest, PosixPooledSortIsByteIdenticalToSerial) {
+  // The pump-thread decorators end to end on real files: async run
+  // flushing, prefetching merge inputs and the partitioned final merge's
+  // positioned range writes must reproduce the serial output byte for
+  // byte.
   PosixEnv posix;
   const std::string dir = twrs::testing::MakeTempDir();
   ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
@@ -913,7 +909,6 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
   auto input = Drain(MakeWorkload(Dataset::kMixed, wl).get());
 
   std::string outputs[2];
-  const IoBackend backends[2] = {IoBackend::kPosix, IoBackend::kUring};
   for (int i = 0; i < 2; ++i) {
     ExternalSortOptions options;
     options.memory_records = 512;
@@ -921,62 +916,29 @@ TEST(IoBackendSortTest, UringSortIsByteIdenticalToPosix) {
     options.fan_in = 4;
     options.temp_dir = dir;
     options.block_bytes = 4096;
-    options.io_backend = backends[i];
+    if (i == 1) {
+      options.parallel.worker_threads = 2;
+      options.parallel.prefetch_blocks = 2;
+      options.parallel.final_merge_threads = 2;
+    }
     ExternalSorter sorter(&posix, options);
-    outputs[i] = dir + "/out_" + IoBackendName(backends[i]);
+    outputs[i] = dir + (i == 0 ? "/out_serial" : "/out_pooled");
     VectorSource source(input);
     ExternalSortResult result;
     ASSERT_TWRS_OK(sorter.Sort(&source, outputs[i], &result));
     EXPECT_EQ(result.output_records, input.size());
   }
 
-  std::vector<Key> via_posix, via_uring;
-  ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[0], &via_posix));
-  ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[1], &via_uring));
-  EXPECT_TRUE(via_posix == via_uring)
-      << "posix and uring sorts diverged on identical input";
+  std::vector<Key> serial, pooled;
+  ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[0], &serial));
+  ASSERT_TWRS_OK(ReadAllRecords(&posix, outputs[1], &pooled));
+  EXPECT_TRUE(serial == pooled)
+      << "serial and pooled sorts diverged on identical input";
   uint64_t count = 0;
   KeyChecksum checksum;
   ASSERT_TWRS_OK(VerifySortedFile(&posix, outputs[1], &count, &checksum));
   EXPECT_EQ(count, input.size());
   EXPECT_TRUE(checksum == ChecksumOf(input));
-}
-
-TEST(IoBackendSortTest, ExplicitUringFailsLoudlyWhenUnsupported) {
-  if (IoUringEnv::IsSupported()) {
-    GTEST_SKIP() << "io_uring is supported here; the rejection path needs "
-                    "an unsupported host";
-  }
-  MemEnv env;
-  ExternalSortOptions options;
-  options.memory_records = 32;
-  options.twrs = TwoWayOptions::Recommended(32);
-  options.temp_dir = "tmp";
-  options.io_backend = IoBackend::kUring;
-  ExternalSorter sorter(&env, options);
-  VectorSource source({3, 1, 2});
-  Status s = sorter.Sort(&source, "out", nullptr);
-  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
-}
-
-TEST(IoBackendSortTest, AutoBackendAlwaysSorts) {
-  // kAuto resolves to whichever backend the host supports and must never
-  // fail on backend grounds.
-  PosixEnv posix;
-  const std::string dir = twrs::testing::MakeTempDir();
-  ASSERT_TWRS_OK(posix.CreateDirIfMissing(dir));
-  ExternalSortOptions options;
-  options.memory_records = 64;
-  options.twrs = TwoWayOptions::Recommended(64);
-  options.temp_dir = dir;
-  options.io_backend = IoBackend::kAuto;
-  ExternalSorter sorter(&posix, options);
-  VectorSource source({5, 4, 3, 2, 1});
-  ExternalSortResult result;
-  ASSERT_TWRS_OK(sorter.Sort(&source, dir + "/out", &result));
-  uint64_t count = 0;
-  ASSERT_TWRS_OK(VerifySortedFile(&posix, dir + "/out", &count, nullptr));
-  EXPECT_EQ(count, 5u);
 }
 
 TEST(VerifySortedFileTest, TruncatedTailIsCorruption) {

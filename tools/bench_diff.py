@@ -49,10 +49,9 @@ _MEASUREMENT_FIELDS = {
 # (bench_topk) identify which top-K plan a row measured, so they stay in
 # the match key — a K=400 dual-heap row only ever compares against the
 # same plan in the baseline. Likewise `io_backend` (bench_parallel_sort,
-# bench_sharded_sort): it names the Env the row ran on (posix vs uring),
-# so a uring row is only ever compared against the baseline's uring row —
-# a posix-vs-uring delta is a comparison the sweep itself reports, not a
-# regression for this tool to flag.
+# bench_sharded_sort): the simulated-disk rows still carry the constant
+# "default" they had when the benches also swept a second backend, so it
+# stays in the match key and their rows keep matching older baselines.
 # Header fields that must agree for two reports to be comparable at all.
 _IDENTITY_FIELDS = ("bench", "profile", "scale", "schema_version")
 
