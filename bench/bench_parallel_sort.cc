@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "exec/executor.h"
 
 namespace twrs {
 namespace bench {
@@ -50,10 +51,13 @@ void Run() {
     spec.algorithm = RunGenAlgorithm::kTwoWayReplacementSelection;
     spec.parallel.worker_threads = threads;
     spec.parallel.prefetch_blocks = threads == 0 ? 0 : 2;
-    // This bench measures scaling per pool size, so each row spawns its
-    // own worker_threads-sized pool instead of borrowing the shared
-    // executor (whose capacity is fixed process-wide).
-    spec.parallel.dedicated_pool = true;
+    // This bench measures scaling per pool size, so each row borrows a
+    // private executor of that capacity instead of the shared one (whose
+    // capacity is fixed process-wide).
+    ExecutorOptions executor_options;
+    executor_options.capacity = threads;
+    Executor executor(executor_options);
+    spec.parallel.executor = &executor;
     spec.disk = disk;
     spec.label = threads == 0 ? "serial" : "parallel";
     const TimedSort timed = RunTimedSort(spec);
@@ -77,7 +81,7 @@ void Run() {
 
   // Final-merge thread sweep: worker count fixed at hw, the last pass split
   // into P concurrent partial merges over key-domain partitions (each
-  // writing its byte range of the output through a RangeMergeSink). P = 1
+  // writing its byte range of the output through a RangeWritableFile). P = 1
   // is the serial final pass the other rows above already used. The sweep
   // runs on a flash-like profile (50 us positioning) rather than the
   // rotating-disk model: splitter sampling and boundary search pay a fixed
@@ -108,7 +112,10 @@ void Run() {
     spec.parallel.worker_threads = hw;
     spec.parallel.prefetch_blocks = 2;
     spec.parallel.final_merge_threads = fm_threads;
-    spec.parallel.dedicated_pool = true;
+    ExecutorOptions executor_options;
+    executor_options.capacity = hw;
+    Executor executor(executor_options);
+    spec.parallel.executor = &executor;
     spec.disk = flash;
     spec.label = fm_threads <= 1 ? "final-merge-serial"
                                  : "final-merge-partitioned";

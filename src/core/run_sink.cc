@@ -149,10 +149,10 @@ Status FileRunSink::Append(RunStream stream, Key key) {
   }
   auto& writer = forward_[stream];
   if (writer == nullptr) {
-    TWRS_RETURN_IF_ERROR(MakeAsyncRecordWriter(
-        env_, StreamPath(run_index_, stream), options_.block_bytes,
-        options_.pool, options_.async_buffer_bytes, &writer,
-        options_.flush_histogram));
+    TWRS_RETURN_IF_ERROR(OpenRecordWriter(
+        env_, StreamPath(run_index_, stream), MergeOutputRange(),
+        options_.block_bytes, options_.pool, options_.flush_histogram,
+        /*sync_on_finish=*/false, &writer));
   }
   return writer->Append(key);
 }

@@ -9,6 +9,7 @@
 #include "core/victim_buffer.h"
 #include "heap/double_heap.h"
 #include "simd/kernels.h"
+#include "util/page_allocator.h"
 
 namespace twrs {
 
@@ -195,7 +196,7 @@ class Engine {
       if (victim_.Full()) {
         // Snapshot the current-run keys so gap selection can avoid ranges
         // that would swallow the heap contents (victim_buffer.h).
-        std::vector<Key> snapshot;
+        PageVector<Key> snapshot;
         heap_.AppendCurrentRunKeys(&snapshot);
         simd::SortKeysBlock(snapshot.data(), snapshot.size());
         const VictimBuffer::RangePopulation population =

@@ -218,22 +218,27 @@ Status PrefetchingSequentialFile::Skip(uint64_t n) {
 
 // ---------------------------------------------------------------- helpers
 
-Status MakeAsyncRecordWriter(Env* env, const std::string& path,
-                             size_t block_bytes, ThreadPool* pool,
-                             size_t async_buffer_bytes,
-                             std::unique_ptr<RecordWriter>* out,
-                             LatencyHistogram* flush_histogram) {
-  if (pool == nullptr) {
-    *out = std::make_unique<RecordWriter>(env, path, block_bytes);
+Status OpenRecordWriter(Env* env, const std::string& path,
+                        const MergeOutputRange& range, size_t block_bytes,
+                        ThreadPool* pool, LatencyHistogram* flush_histogram,
+                        bool sync_on_finish,
+                        std::unique_ptr<RecordWriter>* out) {
+  std::unique_ptr<WritableFile> file;
+  if (range.positioned) {
+    // The file's creator truncated it once, before any range writer
+    // started; reopening must not truncate it again.
+    std::unique_ptr<RandomRWFile> shared;
+    TWRS_RETURN_IF_ERROR(env->ReopenRandomRWFile(path, &shared));
+    file = std::make_unique<RangeWritableFile>(std::move(shared),
+                                               range.offset, range.length);
   } else {
-    std::unique_ptr<WritableFile> file;
     TWRS_RETURN_IF_ERROR(env->NewWritableFile(path, &file));
-    auto async = std::make_unique<AsyncWritableFile>(std::move(file), pool,
-                                                     async_buffer_bytes);
-    async->set_flush_histogram(flush_histogram);
-    *out = std::make_unique<RecordWriter>(std::move(async), block_bytes);
   }
-  return (*out)->status();
+  auto async = std::make_unique<AsyncWritableFile>(std::move(file), pool);
+  async->set_flush_histogram(flush_histogram);
+  *out = std::make_unique<RecordWriter>(std::move(async), block_bytes);
+  (*out)->set_sync_on_finish(sync_on_finish);
+  return Status::OK();
 }
 
 }  // namespace twrs

@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/blocking_queue.h"
 #include "exec/thread_pool.h"
 #include "io/env.h"
+#include "io/range_file.h"
 #include "io/record_io.h"
 #include "util/status.h"
 
@@ -19,7 +21,10 @@ class LatencyHistogram;
 /// Default size of each half of AsyncWritableFile's double buffer.
 inline constexpr size_t kDefaultAsyncBufferBytes = 256 * 1024;
 
-/// Double-buffered, background-flushed decorator around any WritableFile.
+/// Double-buffered, background-flushed decorator around any WritableFile —
+/// an append file or a RangeWritableFile alike. Every record stream writes
+/// through one (see OpenRecordWriter), so this is the only write buffer
+/// rotation and the only place write flushes are timed.
 ///
 /// Append copies into the active buffer; when it fills, the buffer is sealed
 /// and handed to the thread pool to flush while appends continue into the
@@ -34,6 +39,8 @@ inline constexpr size_t kDefaultAsyncBufferBytes = 256 * 1024;
 class AsyncWritableFile : public WritableFile {
  public:
   /// Takes ownership of `base`; `pool` (if non-null) must outlive this file.
+  /// `buffer_bytes` sizes each half; production uses the default, tests
+  /// pass small sizes to force rotations.
   AsyncWritableFile(std::unique_ptr<WritableFile> base, ThreadPool* pool,
                     size_t buffer_bytes = kDefaultAsyncBufferBytes);
 
@@ -126,17 +133,20 @@ class PrefetchingSequentialFile : public SequentialFile {
   std::thread pump_;
 };
 
-/// Creates `path` through `env` and returns a RecordWriter over it,
-/// writing through an AsyncWritableFile on `pool` — or directly when
-/// `pool` is null. The single construction point for every record stream
-/// that can be background-flushed (run sink streams, merge outputs).
-/// A non-null `flush_histogram` records the wall time of every background
-/// flush (pool mode only); it must outlive the writer.
-Status MakeAsyncRecordWriter(Env* env, const std::string& path,
-                             size_t block_bytes, ThreadPool* pool,
-                             size_t async_buffer_bytes,
-                             std::unique_ptr<RecordWriter>* out,
-                             LatencyHistogram* flush_histogram = nullptr);
+/// The one way a record stream is opened for writing: run sink streams,
+/// intermediate and final merge outputs, partition and shard ranges.
+/// Append-creates `path`, or — when `range` is positioned — fills `range`
+/// of the existing file at `path` through a RangeWritableFile. The file is
+/// wrapped in an AsyncWritableFile flushed on `pool`, or written
+/// synchronously when `pool` is null. A non-null `flush_histogram` records
+/// the wall time of every write that reaches the file; it must outlive the
+/// writer. `sync_on_finish` makes Finish force the bytes to stable storage
+/// before closing — set on final outputs, not on scratch runs.
+Status OpenRecordWriter(Env* env, const std::string& path,
+                        const MergeOutputRange& range, size_t block_bytes,
+                        ThreadPool* pool, LatencyHistogram* flush_histogram,
+                        bool sync_on_finish,
+                        std::unique_ptr<RecordWriter>* out);
 
 }  // namespace twrs
 

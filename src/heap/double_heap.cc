@@ -104,12 +104,6 @@ void DoubleHeap::StartNextRun() {
   }
 }
 
-void DoubleHeap::AppendCurrentRunKeys(std::vector<Key>* out) const {
-  for (const Side& s : sides_) {
-    out->insert(out->end(), s.keys.begin(), s.keys.begin() + s.heap_size);
-  }
-}
-
 bool DoubleHeap::IsValid() const {
   if (size() > capacity_) return false;
   for (HeapSide side : {HeapSide::kBottom, HeapSide::kTop}) {

@@ -3,9 +3,9 @@
 
 #include <cassert>
 #include <cstddef>
-#include <vector>
 
 #include "core/record.h"
+#include "util/page_allocator.h"
 
 namespace twrs {
 
@@ -103,9 +103,16 @@ class DoubleHeap {
   void StartNextRun();
 
   /// Appends every current-run key (both sides, unspecified order) to
-  /// `*out`. Used by 2WRS to snapshot the heap contents when choosing the
-  /// victim buffer's initial valid range. O(n).
-  void AppendCurrentRunKeys(std::vector<Key>* out) const;
+  /// `*out`, a std::vector or PageVector of keys, growing it once. Used by
+  /// 2WRS to snapshot the heap contents when choosing the victim buffer's
+  /// initial valid range. O(n).
+  template <typename Vector>
+  void AppendCurrentRunKeys(Vector* out) const {
+    out->reserve(out->size() + sides_[0].heap_size + sides_[1].heap_size);
+    for (const Side& s : sides_) {
+      out->insert(out->end(), s.keys.begin(), s.keys.begin() + s.heap_size);
+    }
+  }
 
   /// Verifies the heap property on both sides and the shared capacity
   /// bound; O(n). Test helper.
@@ -115,7 +122,7 @@ class DoubleHeap {
   // Keys of one side: the current-run heap occupies [0, heap_size), the
   // next-run pool [keys.size() - pool_size, keys.size()).
   struct Side {
-    std::vector<Key> keys;
+    PageVector<Key> keys;
     size_t heap_size = 0;
     size_t pool_size = 0;
   };

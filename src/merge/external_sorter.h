@@ -46,9 +46,9 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(RunGenAlgorithm algorithm,
 /// Concurrency knobs of the pipelined execution path (src/exec). With the
 /// defaults the sort is fully serial and behaves exactly as before.
 struct ParallelOptions {
-  /// Worker threads in the sort's ThreadPool; 0 disables the pool-based
-  /// features (async run flushing, concurrent same-level intermediate
-  /// merges, the partitioned final merge).
+  /// Non-zero switches on the pool-based features (async run flushing,
+  /// concurrent same-level intermediate merges, the partitioned final
+  /// merge) on the executor's pool; 0 keeps the sort serial.
   size_t worker_threads = 0;
 
   /// Read-ahead blocks kept in flight per merge input stream; 0 disables.
@@ -63,17 +63,13 @@ struct ParallelOptions {
   /// 0/1 keep the last pass serial.
   size_t final_merge_threads = 1;
 
-  /// Pool provenance. By default a sort with worker_threads > 0 borrows the
-  /// process-wide Executor::Shared() pool — its size is the executor's
-  /// capacity, and worker_threads then only switches the pool features on —
-  /// so any number of concurrent sorts share one bounded worker set. Set
-  /// dedicated_pool to spawn a private worker_threads-sized ThreadPool for
-  /// this sort instead (the pre-executor model; isolates a sort's thread
-  /// budget, e.g. for benchmarking specific pool sizes).
-  bool dedicated_pool = false;
-
-  /// Executor borrowed from when dedicated_pool is false; null means
-  /// Executor::Shared(). Must outlive the sort.
+  /// Executor whose pool a sort with worker_threads > 0 borrows; null
+  /// means the process-wide Executor::Shared(). The pool's size is the
+  /// executor's capacity — worker_threads only switches the pool features
+  /// on — so any number of concurrent sorts share one bounded worker set.
+  /// A caller that wants a private thread budget (e.g. a benchmark of one
+  /// pool size) passes its own Executor built with that capacity. Must
+  /// outlive the sort.
   Executor* executor = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "exec/async_io.h"
 #include "merge/loser_tree.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
@@ -220,16 +221,15 @@ Status MergeLoop(Selector* selector, std::vector<RunCursor>* cursors,
 }  // namespace
 
 Status Merge(std::vector<RunCursor>* cursors, const MergeWindow& window,
-             const MergeIoOptions& io, MergeSink* sink, RunInfo* out) {
-  RecordWriter writer(std::make_unique<MergeSinkFile>(sink), io.block_bytes);
-  TWRS_RETURN_IF_ERROR(writer.status());
+             const MergeIoOptions& io, RecordWriter* writer, RunInfo* out) {
+  TWRS_RETURN_IF_ERROR(writer->status());
   Key first = 0;
   Key last = 0;
   const size_t k = cursors->size();
   if (k <= kSmallMergeFanIn) {
     FlatSelector selector(*cursors);
     TWRS_RETURN_IF_ERROR(
-        MergeLoop(&selector, cursors, window, io, &writer, &first, &last));
+        MergeLoop(&selector, cursors, window, io, writer, &first, &last));
   } else {
     LoserTree tree(k);
     for (size_t i = 0; i < k; ++i) {
@@ -237,15 +237,15 @@ Status Merge(std::vector<RunCursor>* cursors, const MergeWindow& window,
     }
     tree.Build();
     TWRS_RETURN_IF_ERROR(
-        MergeLoop(&tree, cursors, window, io, &writer, &first, &last));
+        MergeLoop(&tree, cursors, window, io, writer, &first, &last));
   }
-  TWRS_RETURN_IF_ERROR(writer.Finish());
+  TWRS_RETURN_IF_ERROR(writer->Finish());
   if (out != nullptr) {
     RunInfo info;
     RunSegment seg;
-    seg.count = writer.count();
+    seg.count = writer->count();
     info.segments.push_back(std::move(seg));
-    info.length = writer.count();
+    info.length = writer->count();
     info.min_key = first;
     info.max_key = last;
     *out = std::move(info);

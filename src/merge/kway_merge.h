@@ -8,7 +8,6 @@
 #include "core/run_sink.h"
 #include "exec/thread_pool.h"
 #include "io/env.h"
-#include "io/merge_sink.h"
 #include "io/record_io.h"
 #include "io/reverse_run_file.h"
 #include "obs/latency_histogram.h"
@@ -114,18 +113,18 @@ struct MergeWindow {
 inline constexpr size_t kSmallMergeFanIn = 8;
 
 /// The k-way merge (§2.1.2): merges already-initialized (possibly sliced,
-/// see RunCursor::InitSlice) cursors into `sink` as one non-decreasing
+/// see RunCursor::InitSlice) cursors into `writer` as one non-decreasing
 /// record stream, emitting only `window` of the merge order. Selects the
 /// next record with a flat MinIndexN scan up to kSmallMergeFanIn cursors
 /// and with a loser tree above; both break ties toward the lowest cursor
 /// index, so the output bytes never depend on the selector. `io` supplies
-/// the output buffer size, cancellation and progress. Finishes the sink,
-/// so a RangeMergeSink's exact-fill check runs before this returns.
-/// `*out` (if non-null) receives the record count and key bounds as a
-/// one-segment run whose path is left empty for the caller, who knows the
-/// backing file.
+/// cancellation and progress. `writer` is one the caller opened (see
+/// OpenRecordWriter); Merge finishes it, so a positioned range's
+/// exact-fill check runs before this returns. `*out` (if non-null)
+/// receives the record count and key bounds as a one-segment run whose
+/// path is left empty for the caller, who knows the backing file.
 Status Merge(std::vector<RunCursor>* cursors, const MergeWindow& window,
-             const MergeIoOptions& io, MergeSink* sink, RunInfo* out);
+             const MergeIoOptions& io, RecordWriter* writer, RunInfo* out);
 
 /// Deletes every physical file of a run (reverse segments span several).
 Status RemoveRunFiles(Env* env, const RunInfo& run);

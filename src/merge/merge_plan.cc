@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "io/merge_sink.h"
+#include "exec/async_io.h"
 #include "merge/partitioned_merge.h"
 #include "shard/splitters.h"
 
@@ -66,25 +66,11 @@ std::vector<RunSlice> ClampToKept(const std::vector<RunInfo>& runs,
   return slices;
 }
 
-/// Opens the output of one merge: append-creates `path`, or fills `range`
-/// of the existing file at `path` in positioned mode. With `sync` the sink
-/// forces its bytes to stable storage before closing.
-Status OpenMergeSink(Env* env, const std::string& path,
-                     const MergeOutputRange& range, const MergeIoOptions& io,
-                     bool sync, std::unique_ptr<MergeSink>* sink) {
-  if (range.positioned) {
-    return MakeRangeMergeSink(env, path, range.offset, range.length, io.pool,
-                              kDefaultAsyncBufferBytes, sink,
-                              io.flush_histogram, sync);
-  }
-  return MakeAppendMergeSink(env, path, io.pool, kDefaultAsyncBufferBytes,
-                             sink, io.flush_histogram, sync);
-}
-
-/// Merges the non-empty `slices` of `runs` into `path` (see OpenMergeSink
-/// for `range` and `sync`), keeping `kept` records of the merged stream:
-/// its first, or its last for `take_last`. `*out` (if non-null) receives
-/// the merged run.
+/// Merges the non-empty `slices` of `runs` into `path`, keeping `kept`
+/// records of the merged stream: its first, or its last for `take_last`.
+/// The output is append-created, or fills `range` of the existing file
+/// when positioned; `sync` forces it to stable storage before closing.
+/// `*out` (if non-null) receives the merged run.
 Status MergeSlices(Env* env, const std::vector<RunInfo>& runs,
                    const std::vector<RunSlice>& slices, uint64_t kept,
                    bool take_last, const MergeIoOptions& io,
@@ -103,9 +89,11 @@ Status MergeSlices(Env* env, const std::vector<RunInfo>& runs,
   MergeWindow window;
   window.limit = kept;
   if (take_last && sliced_total > kept) window.skip = sliced_total - kept;
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(OpenMergeSink(env, path, range, io, sync, &sink));
-  TWRS_RETURN_IF_ERROR(Merge(&cursors, window, io, sink.get(), out));
+  std::unique_ptr<RecordWriter> writer;
+  TWRS_RETURN_IF_ERROR(OpenRecordWriter(env, path, range, io.block_bytes,
+                                        io.pool, io.flush_histogram, sync,
+                                        &writer));
+  TWRS_RETURN_IF_ERROR(Merge(&cursors, window, io, writer.get(), out));
   if (out != nullptr) out->segments[0].path = path;
   return Status::OK();
 }
@@ -400,10 +388,12 @@ Status MergeRuns(Env* env, std::vector<RunInfo> runs,
       return Status::OK();
     }
     // Sorting an empty input produces an empty output file.
-    RecordWriter writer(env, output_path, options.io.block_bytes);
-    TWRS_RETURN_IF_ERROR(writer.status());
-    writer.set_sync_on_finish(true);
-    TWRS_RETURN_IF_ERROR(writer.Finish());
+    std::unique_ptr<RecordWriter> writer;
+    TWRS_RETURN_IF_ERROR(OpenRecordWriter(
+        env, output_path, MergeOutputRange(), options.io.block_bytes,
+        options.io.pool, options.io.flush_histogram,
+        /*sync_on_finish=*/true, &writer));
+    TWRS_RETURN_IF_ERROR(writer->Finish());
     if (stats != nullptr) *stats = local;
     return Status::OK();
   }

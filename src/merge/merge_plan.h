@@ -7,22 +7,11 @@
 
 #include "core/run_sink.h"
 #include "io/env.h"
+#include "io/range_file.h"
 #include "merge/kway_merge.h"
 #include "util/status.h"
 
 namespace twrs {
-
-/// Where the final merge puts its bytes. In append mode (the default) the
-/// merge creates `output_path`. In positioned mode it writes into
-/// [offset, offset + `length`) of the *existing* file at `output_path`
-/// via RandomRWFile::WriteAt without truncating — the sharded sorter's
-/// direct-write final pass, where every shard's merge owns one range of
-/// the shared output.
-struct MergeOutputRange {
-  bool positioned = false;
-  uint64_t offset = 0;
-  uint64_t length = 0;  ///< exact bytes the merge must produce
-};
 
 /// Options for the multi-pass merge phase (§2.1.2 / §6.1.1).
 struct MergeOptions {
@@ -51,10 +40,10 @@ struct MergeOptions {
   /// Partitions of the *final* merge step. Values > 1 (with a pool) split
   /// the key domain by sampled splitters and run that many partial
   /// loser-tree merges concurrently, each writing its disjoint byte range
-  /// of the output through a RangeMergeSink — byte-identical to the serial
-  /// pass, since records are bare keys and the sorted stream is unique.
-  /// 0 and 1 keep the final pass serial. Stats are unaffected: the final
-  /// pass still counts as one merge step writing every record once.
+  /// of the output through a RangeWritableFile — byte-identical to the
+  /// serial pass, since records are bare keys and the sorted stream is
+  /// unique. 0 and 1 keep the final pass serial. Stats are unaffected: the
+  /// final pass still counts as one merge step writing every record once.
   size_t final_merge_threads = 1;
 
   /// Output placement of the final step. Default: append-create

@@ -4,6 +4,7 @@
 #include <memory>
 #include <numeric>
 
+#include "exec/async_io.h"
 #include "merge/kway_merge.h"
 
 namespace twrs {
@@ -99,13 +100,14 @@ Status PolyphaseMergeRuns(Env* env, std::vector<RunInfo> runs,
                            options.io.prefetch_blocks);
       TWRS_RETURN_IF_ERROR(cursors.back().Init());
     }
-    std::unique_ptr<MergeSink> sink;
-    TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, path, options.io.pool,
-                                             kDefaultAsyncBufferBytes, &sink,
-                                             options.io.flush_histogram));
+    std::unique_ptr<RecordWriter> writer;
+    TWRS_RETURN_IF_ERROR(OpenRecordWriter(
+        env, path, MergeOutputRange(), options.io.block_bytes,
+        options.io.pool, options.io.flush_histogram,
+        /*sync_on_finish=*/false, &writer));
     RunInfo merged;
     TWRS_RETURN_IF_ERROR(
-        Merge(&cursors, MergeWindow(), options.io, sink.get(), &merged));
+        Merge(&cursors, MergeWindow(), options.io, writer.get(), &merged));
     merged.segments[0].path = path;
     ++local.merge_steps;
     local.records_written += merged.length;

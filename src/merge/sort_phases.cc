@@ -117,16 +117,9 @@ Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
 
   const ParallelOptions& parallel = options.parallel;
   if (parallel.worker_threads > 0) {
-    if (parallel.dedicated_pool) {
-      context->owned_pool =
-          std::make_unique<ThreadPool>(parallel.worker_threads);
-      context->pool = context->owned_pool.get();
-    } else {
-      Executor* executor = parallel.executor != nullptr
-                               ? parallel.executor
-                               : &Executor::Shared();
-      context->pool = executor->pool();
-    }
+    Executor* executor = parallel.executor != nullptr ? parallel.executor
+                                                      : &Executor::Shared();
+    context->pool = executor->pool();
   }
   return Status::OK();
 }

@@ -26,11 +26,9 @@ struct SortContext {
   /// Unique per-sort scratch directory under options->temp_dir.
   std::string sort_dir;
 
-  /// Worker pool for the pipelined features; null = fully serial. Either
-  /// borrowed from an Executor (shared mode, the default) or owned below
-  /// (the dedicated-pool opt-out).
+  /// Worker pool for the pipelined features, borrowed from the configured
+  /// Executor; null = fully serial.
   ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned_pool;
 
   /// Cooperative cancellation token from the sort options; polled by the
   /// run-generation and merge phases. Null = not cancellable.
@@ -59,8 +57,8 @@ struct SortContext {
 };
 
 /// Resolves the execution resources of one sort: creates the unique
-/// sort_dir and picks the pool — none (serial), borrowed from the
-/// configured Executor, or a dedicated per-sort pool.
+/// sort_dir and picks the pool — none (serial) or borrowed from the
+/// configured Executor.
 Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
                           SortContext* context);
 

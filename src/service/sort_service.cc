@@ -378,8 +378,7 @@ void SortService::RunJob(std::shared_ptr<SortJob> job,
     sharded.sort.parallel.worker_threads = 1;
   }
   sharded.executor = executor_;
-  if (sharded.sort.parallel.executor == nullptr &&
-      !sharded.sort.parallel.dedicated_pool) {
+  if (sharded.sort.parallel.executor == nullptr) {
     sharded.sort.parallel.executor = executor_;
   }
   // Dynamic lease renegotiation (the merge needs far less memory than the

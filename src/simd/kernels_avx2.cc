@@ -13,7 +13,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
+
+#include "util/page_allocator.h"
 
 namespace twrs {
 namespace simd {
@@ -283,7 +284,7 @@ void SortKeysBlockAvx2(Key* keys, size_t n) {
   for (size_t i = 0; i < full; i += 32) Sort32(keys + i);
   if (full < n) std::sort(keys + full, keys + n);
 
-  std::vector<Key> scratch(n);
+  PageVector<Key> scratch(n);
   Key* src = keys;
   Key* dst = scratch.data();
   for (size_t width = 32; width < n; width *= 2) {

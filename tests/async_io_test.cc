@@ -141,6 +141,16 @@ TEST(AsyncWritableFileTest, CloseIsIdempotent) {
   EXPECT_EQ(contents->size(), 3u);
 }
 
+TEST(AsyncWritableFileTest, AppendAfterCloseFails) {
+  MemEnv env;
+  ThreadPool pool(1);
+  std::unique_ptr<WritableFile> base;
+  ASSERT_TWRS_OK(env.NewWritableFile("closed", &base));
+  AsyncWritableFile file(std::move(base), &pool);
+  ASSERT_TWRS_OK(file.Close());
+  EXPECT_TRUE(file.Append("x", 1).IsInvalidArgument());
+}
+
 // ------------------------------------------------ PrefetchingSequentialFile
 
 TEST(PrefetchingSequentialFileTest, ReadsEntireFile) {

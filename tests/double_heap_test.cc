@@ -190,6 +190,37 @@ TEST(DoubleHeapTest, AppendCurrentRunKeysSkipsNextRunPool) {
   EXPECT_EQ(keys, std::vector<Key>({3, 5, 40, 1000}));
 }
 
+// A capacity whose side arrays exceed kPageAllocBytes, so each side lives
+// in pages mapped for it (util/page_allocator.h), as a 1 Mi-record sort's
+// heaps do; the snapshot is a PageVector as in 2WRS's bootstrap.
+TEST(DoubleHeapTest, PageMappedCapacityKeepsEveryKey) {
+  constexpr size_t kCapacity = 3 * kPageAllocBytes / sizeof(Key);
+  DoubleHeap heap(kCapacity);
+  Random rng(7);
+  std::vector<Key> bottom;
+  std::vector<Key> top;
+  for (size_t i = 0; i < kCapacity; ++i) {
+    const Key k = static_cast<Key>(rng.Next() >> 1);
+    const bool to_bottom = rng.OneIn2();
+    ASSERT_TRUE(heap.Push(to_bottom ? HeapSide::kBottom : HeapSide::kTop, k));
+    (to_bottom ? bottom : top).push_back(k);
+  }
+  ASSERT_TRUE(heap.Full());
+  ASSERT_TRUE(heap.IsValid());
+  PageVector<Key> snapshot;
+  heap.AppendCurrentRunKeys(&snapshot);
+  std::vector<Key> all(bottom);
+  all.insert(all.end(), top.begin(), top.end());
+  std::sort(all.begin(), all.end());
+  std::sort(snapshot.begin(), snapshot.end());
+  EXPECT_TRUE(std::equal(snapshot.begin(), snapshot.end(), all.begin(),
+                         all.end()));
+  std::sort(bottom.rbegin(), bottom.rend());
+  std::sort(top.begin(), top.end());
+  EXPECT_EQ(Drain(&heap, HeapSide::kBottom), bottom);
+  EXPECT_EQ(Drain(&heap, HeapSide::kTop), top);
+}
+
 TEST(DoubleHeapTest, PopLastLeafShrinksSide) {
   DoubleHeap heap(6);
   PushAll(&heap, HeapSide::kBottom, {1, 2, 3});

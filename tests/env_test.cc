@@ -167,7 +167,7 @@ TEST_P(EnvTest, ReopenMissingFileFails) {
   EXPECT_FALSE(env_->ReopenRandomRWFile(Path("missing"), &f).ok());
 }
 
-// --- RandomRWFile contracts the RangeMergeSink positioned-output path
+// --- RandomRWFile contracts the RangeWritableFile positioned-output path
 // --- relies on; pinned down across every backend.
 
 TEST_P(EnvTest, RandomRWWriteAtExtendsAndZeroFillsTheGap) {

@@ -17,14 +17,11 @@ namespace {
 TEST(ExecutorTest, LazyPoolCreation) {
   Executor executor;
   EXPECT_FALSE(executor.started());
-  EXPECT_EQ(executor.pool_count(), 0u);
   ThreadPool* pool = executor.pool();
   ASSERT_NE(pool, nullptr);
   EXPECT_TRUE(executor.started());
-  EXPECT_EQ(executor.pool_count(), 1u);
-  // The default pool is created once and then shared.
+  // The pool is created once and then shared.
   EXPECT_EQ(executor.pool(), pool);
-  EXPECT_EQ(executor.pool_count(), 1u);
 }
 
 TEST(ExecutorTest, CapacityConfiguresDefaultPool) {
@@ -51,19 +48,6 @@ TEST(ExecutorTest, SetCapacityOnlyBeforeFirstPool) {
   EXPECT_EQ(executor.capacity(), 2u);
 }
 
-TEST(ExecutorTest, NamedPoolsAreIndependent) {
-  Executor executor;
-  ThreadPool* merge_pool = executor.GetPool("merge", 2);
-  ThreadPool* io_pool = executor.GetPool("io", 1);
-  EXPECT_NE(merge_pool, io_pool);
-  EXPECT_EQ(merge_pool->num_threads(), 2u);
-  EXPECT_EQ(io_pool->num_threads(), 1u);
-  EXPECT_EQ(executor.pool_count(), 2u);
-  // The first caller fixes a pool's size; later requests share it.
-  EXPECT_EQ(executor.GetPool("merge", 7), merge_pool);
-  EXPECT_EQ(merge_pool->num_threads(), 2u);
-}
-
 TEST(ExecutorTest, PoolExecutesSubmittedTasks) {
   ExecutorOptions options;
   options.capacity = 2;
@@ -85,8 +69,8 @@ TEST(ExecutorTest, SharedReturnsOneInstance) {
 }
 
 // The heart of the refactor: many concurrent sorts borrow one executor
-// instead of spawning a pool each. All must succeed and verify, and the
-// executor must end up with exactly one pool.
+// instead of spawning a pool each. All must succeed and verify on the
+// executor's one capacity-sized pool.
 TEST(ExecutorTest, ConcurrentSortsShareOneExecutor) {
   MemEnv env;
   ExecutorOptions exec_options;
@@ -119,7 +103,6 @@ TEST(ExecutorTest, ConcurrentSortsShareOneExecutor) {
   }
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(executor.pool_count(), 1u);
   EXPECT_EQ(executor.pool()->num_threads(), 3u);
   for (int i = 0; i < kSorts; ++i) {
     ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
@@ -158,11 +141,13 @@ TEST(ExecutorTest, SortBorrowsSharedExecutorByDefault) {
   EXPECT_TRUE(checksum == testing::ChecksumOf(input));
 }
 
-// Opting out of the shared executor spawns a private worker_threads-sized
-// pool; the executor stays untouched.
-TEST(ExecutorTest, DedicatedPoolOptOutDoesNotTouchExecutor) {
+// A private executor passed through parallel.executor gives a sort its own
+// capacity-sized pool; the shared executor's pool is not what it runs on.
+TEST(ExecutorTest, PrivateExecutorGivesASortItsOwnPool) {
   MemEnv env;
-  Executor executor;  // stands in for the shared one
+  ExecutorOptions exec_options;
+  exec_options.capacity = 2;
+  Executor executor(exec_options);
   WorkloadOptions wl;
   wl.num_records = 2000;
   wl.seed = 12;
@@ -173,12 +158,13 @@ TEST(ExecutorTest, DedicatedPoolOptOutDoesNotTouchExecutor) {
   options.twrs = TwoWayOptions::Recommended(64);
   options.temp_dir = "tmp";
   options.parallel.worker_threads = 2;
-  options.parallel.dedicated_pool = true;
   options.parallel.executor = &executor;
   ExternalSorter sorter(&env, options);
   VectorSource source(input);
   ASSERT_TWRS_OK(sorter.Sort(&source, "out", nullptr));
-  EXPECT_FALSE(executor.started());
+  EXPECT_TRUE(executor.started());
+  EXPECT_EQ(executor.pool()->num_threads(), 2u);
+  EXPECT_NE(executor.pool(), Executor::Shared().pool());
 
   uint64_t count = 0;
   ASSERT_TWRS_OK(VerifySortedFile(&env, "out", &count, nullptr));

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/load_sort_store.h"
+#include "exec/executor.h"
 #include "io/mem_env.h"
 #include "io/posix_env.h"
 #include "util/random.h"
@@ -428,8 +429,11 @@ TEST(ExternalSorterCancelTest, ParallelSortAlsoObservesTheToken) {
 
   CancelToken token;
   ExternalSortOptions options = CancelTestOptions(&token);
+  ExecutorOptions exec_options;
+  exec_options.capacity = 2;
+  Executor executor(exec_options);
   options.parallel.worker_threads = 2;
-  options.parallel.dedicated_pool = true;
+  options.parallel.executor = &executor;
   ExternalSorter sorter(&env, options);
   CancelAfterNSource source(input, 5000, &token);
   EXPECT_TRUE(sorter.Sort(&source, "out", nullptr).IsCancelled());

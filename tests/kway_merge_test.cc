@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/run_sink.h"
+#include "exec/async_io.h"
 #include "io/mem_env.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -53,11 +54,11 @@ RunInfo MakeFourStreamRun(Env* env, const std::string& prefix) {
 // "merged", serving `window`.
 Status MergeCursorsToFile(Env* env, std::vector<RunCursor>* cursors,
                           const MergeWindow& window, RunInfo* out) {
-  std::unique_ptr<MergeSink> sink;
-  TWRS_RETURN_IF_ERROR(MakeAppendMergeSink(env, "merged", nullptr, 0, &sink));
-  MergeIoOptions io;
-  io.block_bytes = 256;
-  return Merge(cursors, window, io, sink.get(), out);
+  std::unique_ptr<RecordWriter> writer;
+  TWRS_RETURN_IF_ERROR(OpenRecordWriter(env, "merged", MergeOutputRange(),
+                                        256, nullptr, nullptr, false,
+                                        &writer));
+  return Merge(cursors, window, MergeIoOptions(), writer.get(), out);
 }
 
 std::vector<Key> MergeAll(Env* env, const std::vector<RunInfo>& runs) {

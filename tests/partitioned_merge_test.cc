@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/record_source.h"
+#include "exec/executor.h"
 #include "exec/thread_pool.h"
 #include "io/mem_env.h"
 #include "io/record_io.h"
@@ -283,13 +284,16 @@ TEST(PartitionedMergeTest, FullSortByteIdenticalWithReverseSegments) {
     ASSERT_NE(env.FileContents("out_serial"), nullptr);
     expect = *env.FileContents("out_serial");
   }
+  ExecutorOptions exec_options;
+  exec_options.capacity = 4;
+  Executor executor(exec_options);
   for (size_t partitions : {size_t{2}, size_t{8}}) {
     ExternalSortOptions options;
     options.memory_records = 8192;
     options.temp_dir = "tmp";
     options.block_bytes = 4096;
     options.parallel.worker_threads = 4;
-    options.parallel.dedicated_pool = true;
+    options.parallel.executor = &executor;
     options.parallel.final_merge_threads = partitions;
     ExternalSorter sorter(&env, options);
     VectorSource source(input);
