@@ -31,9 +31,10 @@ void Run() {
     workload.num_records = run_records;
     workload.seed = static_cast<uint64_t>(r + 1);
     auto source = MakeWorkload(Dataset::kRandom, workload);
-    std::vector<Key> keys;
-    Key key;
-    while (source->Next(&key)) keys.push_back(key);
+    std::vector<Key> keys(run_records);
+    size_t got = 0;
+    CheckOk(ReadFull(source.get(), keys.data(), keys.size(), &got),
+            "generate run");
     std::sort(keys.begin(), keys.end());
     const std::string path = dir + "/run" + std::to_string(r);
     CheckOk(WriteAllRecords(&posix, path, keys), "write run");

@@ -43,13 +43,13 @@ class AnticorrelatedColumnScan : public twrs::RecordSource {
   AnticorrelatedColumnScan(uint64_t rows, uint64_t seed)
       : rows_(rows), rng_(seed) {}
 
-  bool Next(twrs::Key* key) override {
-    if (row_ == rows_) return false;
-    const twrs::Key a = static_cast<twrs::Key>(row_) * 1000;  // scan order
-    const twrs::Key jitter = static_cast<twrs::Key>(rng_.Uniform(900));
-    *key = static_cast<twrs::Key>(rows_) * 1000 - a + jitter;  // column B
-    ++row_;
-    return true;
+  twrs::Status NextBatch(twrs::Key* out, size_t max, size_t* got) override {
+    for (*got = 0; *got < max && row_ < rows_; ++row_) {
+      const twrs::Key a = static_cast<twrs::Key>(row_) * 1000;  // scan order
+      const twrs::Key jitter = static_cast<twrs::Key>(rng_.Uniform(900));
+      out[(*got)++] = static_cast<twrs::Key>(rows_) * 1000 - a + jitter;  // B
+    }
+    return twrs::Status::OK();
   }
 
  private:

@@ -26,15 +26,13 @@ class ClusteredSource : public twrs::RecordSource {
   ClusteredSource(uint64_t records, uint64_t seed)
       : records_(records), rng_(seed) {}
 
-  bool Next(twrs::Key* key) override {
-    if (i_ == records_) return false;
-    ++i_;
-    if (rng_.Uniform(10) < 9) {
-      *key = static_cast<twrs::Key>(rng_.Uniform(1000));  // the hot cluster
-    } else {
-      *key = static_cast<twrs::Key>(rng_.Uniform(1000000000));
+  twrs::Status NextBatch(twrs::Key* out, size_t max, size_t* got) override {
+    for (*got = 0; *got < max && i_ < records_; ++i_) {
+      const bool hot = rng_.Uniform(10) < 9;  // the hot cluster
+      out[(*got)++] =
+          static_cast<twrs::Key>(rng_.Uniform(hot ? 1000 : 1000000000));
     }
-    return true;
+    return twrs::Status::OK();
   }
 
  private:

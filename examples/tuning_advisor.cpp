@@ -123,13 +123,17 @@ int main(int argc, char** argv) {
   // Sample a prefix, as an optimizer with intermediate-result statistics
   // would (§7.1).
   const size_t sample_size = 4096;
-  std::vector<twrs::Key> sample;
+  std::vector<twrs::Key> sample(sample_size);
   {
     auto source = twrs::MakeWorkload(dataset, workload);
-    twrs::Key key;
-    while (sample.size() < sample_size && source->Next(&key)) {
-      sample.push_back(key);
+    size_t got = 0;
+    const twrs::Status status =
+        twrs::ReadFull(source.get(), sample.data(), sample.size(), &got);
+    if (!status.ok()) {
+      fprintf(stderr, "sample: %s\n", status.ToString().c_str());
+      return 1;
     }
+    sample.resize(got);
   }
   const Shape shape = ClassifySample(sample);
   printf("input          : %s (%" PRIu64 " records)\n",

@@ -55,6 +55,7 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
   }
   const size_t first_run = sink->runs().size();
   const size_t batch = options_.batch_records;
+  BufferedRunSink out(sink);
 
   MinirunList current;   // miniruns feeding the current run
   MinirunList deferred;  // next-run miniruns (heads below the last output)
@@ -71,14 +72,14 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
 
   // Reads one batch, sorts it, and splits it at the last output: the suffix
   // extends the current run, the prefix is deferred to the next one.
-  auto read_batch = [&]() -> bool {
-    if (input_done) return false;
-    std::vector<Key> keys;
-    keys.reserve(batch);
-    Key key;
-    while (keys.size() < batch && source->Next(&key)) keys.push_back(key);
-    if (keys.size() < batch) input_done = true;
-    if (keys.empty()) return false;
+  auto read_batch = [&]() -> Status {
+    if (input_done) return Status::OK();
+    std::vector<Key> keys(batch);
+    size_t n = 0;
+    TWRS_RETURN_IF_ERROR(ReadFull(source, keys.data(), batch, &n));
+    keys.resize(n);
+    if (n < batch) input_done = true;
+    if (keys.empty()) return Status::OK();
     simd::SortKeysBlock(keys.data(), keys.size());
     in_memory += keys.size();
     size_t boundary = 0;
@@ -98,25 +99,26 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
       current.push_back(std::move(suffix));
       push_head(std::prev(current.end()));
     }
-    return true;
+    return Status::OK();
   };
 
   // Initial fill: load one memory's worth of batches.
-  while (in_memory + batch <= options_.memory_records && read_batch()) {
+  while (!input_done && in_memory + batch <= options_.memory_records) {
+    TWRS_RETURN_IF_ERROR(read_batch());
   }
   if (current.empty() && deferred.empty()) {
-    TWRS_RETURN_IF_ERROR(sink->Finish());
+    TWRS_RETURN_IF_ERROR(out.Finish());
     FillStatsFromSink(*sink, first_run, stats);
     return Status::OK();
   }
 
-  TWRS_RETURN_IF_ERROR(sink->BeginRun());
+  TWRS_RETURN_IF_ERROR(out.BeginRun());
   for (;;) {
     if (heads.empty()) {
       // Current run complete; promote the deferred miniruns.
-      TWRS_RETURN_IF_ERROR(sink->EndRun());
+      TWRS_RETURN_IF_ERROR(out.EndRun());
       if (deferred.empty()) break;
-      TWRS_RETURN_IF_ERROR(sink->BeginRun());
+      TWRS_RETURN_IF_ERROR(out.BeginRun());
       have_last_output = false;
       current = std::move(deferred);
       deferred.clear();
@@ -126,7 +128,7 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
       continue;
     }
     const HeadItem item = heads.Pop();
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream1, item.key));
+    TWRS_RETURN_IF_ERROR(out.Add(kStream1, item.key));
     last_output = item.key;
     have_last_output = true;
     --in_memory;
@@ -138,9 +140,11 @@ Status BatchedReplacementSelection::Generate(RecordSource* source,
       current.erase(item.minirun);
     }
     // Refill whenever a batch's worth of memory has been released.
-    if (in_memory + batch <= options_.memory_records) read_batch();
+    if (in_memory + batch <= options_.memory_records) {
+      TWRS_RETURN_IF_ERROR(read_batch());
+    }
   }
-  TWRS_RETURN_IF_ERROR(sink->Finish());
+  TWRS_RETURN_IF_ERROR(out.Finish());
   FillStatsFromSink(*sink, first_run, stats);
   return Status::OK();
 }

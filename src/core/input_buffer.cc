@@ -47,26 +47,27 @@ InputBuffer::InputBuffer(RecordSource* source, size_t capacity,
                          bool track_median)
     : source_(source), capacity_(capacity), track_median_(track_median) {}
 
-void InputBuffer::Refill() {
+Status InputBuffer::Refill() {
   Key key;
-  while (!source_done_ && fifo_.size() < capacity_) {
-    if (!source_->Next(&key)) {
-      source_done_ = true;
-      break;
-    }
+  bool eof = false;
+  while (fifo_.size() < capacity_) {
+    TWRS_RETURN_IF_ERROR(source_.Next(&key, &eof));
+    if (eof) break;
     fifo_.push_back(key);
     if (track_median_) median_.Insert(key);
     sum_ += static_cast<double>(key);
   }
+  return Status::OK();
 }
 
-bool InputBuffer::Next(Key* key) {
+Status InputBuffer::Next(Key* key, bool* eof) {
   if (capacity_ == 0) {
     stats_size_ = 0;
-    return source_->Next(key);
+    return source_.Next(key, eof);
   }
-  Refill();
-  if (fifo_.empty()) return false;
+  TWRS_RETURN_IF_ERROR(Refill());
+  *eof = fifo_.empty();
+  if (*eof) return Status::OK();
   // Snapshot statistics over the full window, head included (§4.5 example).
   stats_size_ = fifo_.size();
   stats_mean_ = sum_ / static_cast<double>(fifo_.size());
@@ -75,7 +76,7 @@ bool InputBuffer::Next(Key* key) {
   fifo_.pop_front();
   if (track_median_) median_.Erase(*key);
   sum_ -= static_cast<double>(*key);
-  return true;
+  return Status::OK();
 }
 
 }  // namespace twrs

@@ -7,6 +7,7 @@
 
 #include "core/record.h"
 #include "core/record_source.h"
+#include "util/status.h"
 
 namespace twrs {
 
@@ -51,9 +52,9 @@ class InputBuffer {
   InputBuffer(RecordSource* source, size_t capacity,
               bool track_median = true);
 
-  /// Pops the next record (refilling the window first). Returns false at
-  /// end of input.
-  bool Next(Key* key);
+  /// Pops the next record (refilling the window first); sets `*eof`
+  /// instead at end of input. A failed read of the source is returned.
+  Status Next(Key* key, bool* eof);
 
   /// True when buffered statistics are available (capacity > 0 and at least
   /// one record was in the window at the last Next()).
@@ -77,15 +78,14 @@ class InputBuffer {
   size_t size() const { return fifo_.size(); }
 
  private:
-  void Refill();
+  Status Refill();
 
-  RecordSource* source_;
+  RecordCursor source_;
   size_t capacity_;
   bool track_median_;
   std::deque<Key> fifo_;
   MedianTracker median_;
   double sum_ = 0.0;
-  bool source_done_ = false;
 
   // Snapshot taken by the most recent Next().
   size_t stats_size_ = 0;

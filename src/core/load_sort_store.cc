@@ -15,20 +15,16 @@ Status LoadSortStore::Generate(RecordSource* source, RunSink* sink,
     return Status::InvalidArgument("memory_records must be positive");
   }
   const size_t first_run = sink->runs().size();
-  std::vector<Key> block;
-  block.reserve(options_.memory_records);
+  std::vector<Key> block(options_.memory_records);
   for (;;) {
-    block.clear();
-    Key key;
-    while (block.size() < options_.memory_records && source->Next(&key)) {
-      block.push_back(key);
-    }
-    if (block.empty()) break;
-    simd::SortKeysBlock(block.data(), block.size());
+    size_t n = 0;
+    TWRS_RETURN_IF_ERROR(ReadFull(source, block.data(), block.size(), &n));
+    if (n == 0) break;
+    simd::SortKeysBlock(block.data(), n);
     TWRS_RETURN_IF_ERROR(sink->BeginRun());
-    for (Key k : block) TWRS_RETURN_IF_ERROR(sink->Append(kStream1, k));
+    TWRS_RETURN_IF_ERROR(sink->AppendBatch(kStream1, block.data(), n));
     TWRS_RETURN_IF_ERROR(sink->EndRun());
-    if (block.size() < options_.memory_records) break;  // input exhausted
+    if (n < block.size()) break;  // input exhausted
   }
   TWRS_RETURN_IF_ERROR(sink->Finish());
   FillStatsFromSink(*sink, first_run, stats);

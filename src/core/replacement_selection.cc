@@ -26,40 +26,46 @@ Status ReplacementSelection::Generate(RecordSource* source, RunSink* sink,
     return Status::InvalidArgument("memory_records must be positive");
   }
   const size_t first_run = sink->runs().size();
+  RecordCursor input(source);
+  BufferedRunSink out(sink);
 
   BinaryHeap<TaggedRecord, RsBefore> heap;
   heap.Reserve(options_.memory_records);
 
   // Fill phase (heap.fill in Algorithm 1): load one memory's worth.
   Key key;
-  while (heap.size() < options_.memory_records && source->Next(&key)) {
+  bool eof = false;
+  while (heap.size() < options_.memory_records) {
+    TWRS_RETURN_IF_ERROR(input.Next(&key, &eof));
+    if (eof) break;
     heap.Push(TaggedRecord{key, 0});
   }
 
   uint32_t current_run = 0;
   bool in_run = false;
   if (!heap.empty()) {
-    TWRS_RETURN_IF_ERROR(sink->BeginRun());
+    TWRS_RETURN_IF_ERROR(out.BeginRun());
     in_run = true;
   }
   while (!heap.empty()) {
     // Run boundary: the top record belongs to the next run, hence so does
     // everything else in the heap (§3.3).
     if (heap.Top().run > current_run) {
-      TWRS_RETURN_IF_ERROR(sink->EndRun());
-      TWRS_RETURN_IF_ERROR(sink->BeginRun());
+      TWRS_RETURN_IF_ERROR(out.EndRun());
+      TWRS_RETURN_IF_ERROR(out.BeginRun());
       current_run = heap.Top().run;
     }
     const TaggedRecord next_output = heap.Pop();
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream1, next_output.key));
-    if (source->Next(&key)) {
+    TWRS_RETURN_IF_ERROR(out.Add(kStream1, next_output.key));
+    TWRS_RETURN_IF_ERROR(input.Next(&key, &eof));
+    if (!eof) {
       const uint32_t run =
           key < next_output.key ? current_run + 1 : current_run;
       heap.Push(TaggedRecord{key, run});
     }
   }
-  if (in_run) TWRS_RETURN_IF_ERROR(sink->EndRun());
-  TWRS_RETURN_IF_ERROR(sink->Finish());
+  if (in_run) TWRS_RETURN_IF_ERROR(out.EndRun());
+  TWRS_RETURN_IF_ERROR(out.Finish());
   FillStatsFromSink(*sink, first_run, stats);
   return Status::OK();
 }

@@ -26,26 +26,63 @@ const char* StreamSuffix(RunStream stream) {
 
 }  // namespace
 
+void RunSink::KeyBounds::Add(const Key* keys, size_t n) {
+  if (n == 0) return;
+  const auto [lo, hi] = std::minmax_element(keys, keys + n);
+  if (empty) {
+    min = *lo;
+    max = *hi;
+    empty = false;
+  } else {
+    min = std::min(min, *lo);
+    max = std::max(max, *hi);
+  }
+}
+
+// ---------------------------------------------------------------- Buffered
+
+Status BufferedRunSink::Flush() {
+  if (size_ == 0) return Status::OK();
+  const size_t n = size_;
+  size_ = 0;
+  return base_->AppendBatch(stream_, keys_, n);
+}
+
+Status BufferedRunSink::BeginRun() {
+  TWRS_RETURN_IF_ERROR(Flush());
+  return base_->BeginRun();
+}
+
+Status BufferedRunSink::AppendBatch(RunStream stream, const Key* keys,
+                                    size_t n) {
+  TWRS_RETURN_IF_ERROR(Flush());
+  return base_->AppendBatch(stream, keys, n);
+}
+
+Status BufferedRunSink::EndRun() {
+  TWRS_RETURN_IF_ERROR(Flush());
+  return base_->EndRun();
+}
+
+Status BufferedRunSink::Finish() {
+  TWRS_RETURN_IF_ERROR(Flush());
+  return base_->Finish();
+}
+
 // ---------------------------------------------------------------- Counting
 
 Status CountingRunSink::BeginRun() {
   if (in_run_) return Status::InvalidArgument("BeginRun inside a run");
   in_run_ = true;
   current_length_ = 0;
-  have_bounds_ = false;
+  bounds_ = KeyBounds();
   return Status::OK();
 }
 
-Status CountingRunSink::Append(RunStream, Key key) {
+Status CountingRunSink::AppendBatch(RunStream, const Key* keys, size_t n) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
-  ++current_length_;
-  if (!have_bounds_) {
-    min_key_ = max_key_ = key;
-    have_bounds_ = true;
-  } else {
-    min_key_ = std::min(min_key_, key);
-    max_key_ = std::max(max_key_, key);
-  }
+  current_length_ += n;
+  bounds_.Add(keys, n);
   return Status::OK();
 }
 
@@ -55,8 +92,8 @@ Status CountingRunSink::EndRun() {
   if (current_length_ == 0) return Status::OK();  // empty runs are dropped
   RunInfo info;
   info.length = current_length_;
-  info.min_key = min_key_;
-  info.max_key = max_key_;
+  info.min_key = bounds_.min;
+  info.max_key = bounds_.max;
   runs_.push_back(std::move(info));
   return Status::OK();
 }
@@ -69,6 +106,12 @@ Status CollectingRunSink::BeginRun() {
   if (in_run_) return Status::InvalidArgument("BeginRun inside a run");
   in_run_ = true;
   for (auto& s : streams_) s.clear();
+  return Status::OK();
+}
+
+Status CollectingRunSink::AppendBatch(RunStream stream, const Key* keys,
+                                      size_t n) {
+  for (size_t i = 0; i < n; ++i) TWRS_RETURN_IF_ERROR(Append(stream, keys[i]));
   return Status::OK();
 }
 
@@ -125,19 +168,14 @@ std::string FileRunSink::StreamPath(uint64_t run, RunStream stream) const {
 Status FileRunSink::BeginRun() {
   if (in_run_) return Status::InvalidArgument("BeginRun inside a run");
   in_run_ = true;
-  have_bounds_ = false;
+  bounds_ = KeyBounds();
   return Status::OK();
 }
 
-Status FileRunSink::Append(RunStream stream, Key key) {
+Status FileRunSink::AppendBatch(RunStream stream, const Key* keys, size_t n) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
-  if (!have_bounds_) {
-    min_key_ = max_key_ = key;
-    have_bounds_ = true;
-  } else {
-    min_key_ = std::min(min_key_, key);
-    max_key_ = std::max(max_key_, key);
-  }
+  if (n == 0) return Status::OK();
+  bounds_.Add(keys, n);
   if (StreamIsReverse(stream)) {
     auto& writer = reverse_[stream];
     if (writer == nullptr) {
@@ -145,7 +183,10 @@ Status FileRunSink::Append(RunStream stream, Key key) {
           env_, StreamPath(run_index_, stream), options_.reverse);
       TWRS_RETURN_IF_ERROR(writer->status());
     }
-    return writer->Append(key);
+    for (size_t i = 0; i < n; ++i) {
+      TWRS_RETURN_IF_ERROR(writer->Append(keys[i]));
+    }
+    return Status::OK();
   }
   auto& writer = forward_[stream];
   if (writer == nullptr) {
@@ -154,7 +195,7 @@ Status FileRunSink::Append(RunStream stream, Key key) {
         options_.block_bytes, options_.pool, options_.flush_histogram,
         /*sync_on_finish=*/false, &writer));
   }
-  return writer->Append(key);
+  return writer->AppendBatch(keys, n);
 }
 
 Status FileRunSink::EndRun() {
@@ -190,8 +231,8 @@ Status FileRunSink::EndRun() {
   }
   ++run_index_;
   if (info.length == 0) return Status::OK();
-  info.min_key = min_key_;
-  info.max_key = max_key_;
+  info.min_key = bounds_.min;
+  info.max_key = bounds_.max;
   runs_.push_back(std::move(info));
   return Status::OK();
 }

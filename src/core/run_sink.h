@@ -49,15 +49,18 @@ struct RunInfo {
 
 /// Receives the runs produced by a run generation algorithm.
 ///
-/// Protocol: BeginRun, then any number of Append calls on the four streams
-/// (each stream individually ordered as documented on RunStream), then
-/// EndRun; repeated per run; finally Finish exactly once.
+/// Protocol: BeginRun, then any number of AppendBatch calls on the four
+/// streams, then EndRun; repeated per run; finally Finish exactly once.
 class RunSink {
  public:
   virtual ~RunSink() = default;
 
   virtual Status BeginRun() = 0;
-  virtual Status Append(RunStream stream, Key key) = 0;
+
+  /// Appends `n` records to `stream`, given in the stream's own order
+  /// (see RunStream), continuing the records appended to it before.
+  virtual Status AppendBatch(RunStream stream, const Key* keys, size_t n) = 0;
+
   virtual Status EndRun() = 0;
   virtual Status Finish() = 0;
 
@@ -65,7 +68,51 @@ class RunSink {
   const std::vector<RunInfo>& runs() const { return runs_; }
 
  protected:
+  /// Smallest and largest key appended to the current run.
+  struct KeyBounds {
+    bool empty = true;
+    Key min = 0;
+    Key max = 0;
+
+    void Add(const Key* keys, size_t n);
+  };
+
   std::vector<RunInfo> runs_;
+};
+
+/// Coalesces a record-at-a-time generator's output (RS, 2WRS) into
+/// AppendBatch calls on `base`: consecutive records of one stream go on
+/// together when the stream changes, the buffer fills, or any other call
+/// reaches the sink, so `base` sees the records in emission order. Its own
+/// runs() stay empty; read them from `base`.
+class BufferedRunSink : public RunSink {
+ public:
+  explicit BufferedRunSink(RunSink* base) : base_(base) {}
+
+  /// Buffers one record of `stream`.
+  Status Add(RunStream stream, Key key) {
+    if (size_ == kCapacity || (size_ > 0 && stream != stream_)) {
+      TWRS_RETURN_IF_ERROR(Flush());
+    }
+    stream_ = stream;
+    keys_[size_++] = key;
+    return Status::OK();
+  }
+
+  Status BeginRun() override;
+  Status AppendBatch(RunStream stream, const Key* keys, size_t n) override;
+  Status EndRun() override;
+  Status Finish() override;
+
+ private:
+  static constexpr size_t kCapacity = 256;
+
+  Status Flush();
+
+  RunSink* base_;
+  RunStream stream_ = kStream1;
+  size_t size_ = 0;
+  Key keys_[kCapacity];
 };
 
 /// Counts run lengths without storing records. Used by the Chapter 5
@@ -73,16 +120,14 @@ class RunSink {
 class CountingRunSink : public RunSink {
  public:
   Status BeginRun() override;
-  Status Append(RunStream stream, Key key) override;
+  Status AppendBatch(RunStream stream, const Key* keys, size_t n) override;
   Status EndRun() override;
   Status Finish() override;
 
  private:
   bool in_run_ = false;
   uint64_t current_length_ = 0;
-  bool have_bounds_ = false;
-  Key min_key_ = 0;
-  Key max_key_ = 0;
+  KeyBounds bounds_;
 };
 
 /// Collects each run as an in-memory vector assembled in ascending order
@@ -90,9 +135,12 @@ class CountingRunSink : public RunSink {
 class CollectingRunSink : public RunSink {
  public:
   Status BeginRun() override;
-  Status Append(RunStream stream, Key key) override;
+  Status AppendBatch(RunStream stream, const Key* keys, size_t n) override;
   Status EndRun() override;
   Status Finish() override;
+
+  /// Checks and stores one record; AppendBatch calls it for each key.
+  virtual Status Append(RunStream stream, Key key);
 
   /// The assembled runs, each in ascending order.
   const std::vector<std::vector<Key>>& collected() const { return collected_; }
@@ -129,7 +177,7 @@ class FileRunSink : public RunSink {
               FileRunSinkOptions options = FileRunSinkOptions());
 
   Status BeginRun() override;
-  Status Append(RunStream stream, Key key) override;
+  Status AppendBatch(RunStream stream, const Key* keys, size_t n) override;
   Status EndRun() override;
   Status Finish() override;
 
@@ -142,9 +190,7 @@ class FileRunSink : public RunSink {
   FileRunSinkOptions options_;
   uint64_t run_index_ = 0;
   bool in_run_ = false;
-  bool have_bounds_ = false;
-  Key min_key_ = 0;
-  Key max_key_ = 0;
+  KeyBounds bounds_;
   std::unique_ptr<RecordWriter> forward_[kNumRunStreams];
   std::unique_ptr<ReverseRunWriter> reverse_[kNumRunStreams];
 };

@@ -45,14 +45,17 @@ class Engine {
     // Fill phase (doubleHeap.fill in Algorithm 2): both heaps are eligible
     // for every record, so the input heuristic places all of them.
     Key key;
-    while (heap_.size() < heap_.capacity() && input_.Next(&key)) {
+    bool eof = false;
+    while (heap_.size() < heap_.capacity()) {
+      TWRS_RETURN_IF_ERROR(input_.Next(&key, &eof));
+      if (eof) break;
       heuristics_.OnRecordSeen(key);
       const HeapSide side = heuristics_.ChooseInsertSide(key, &input_, heap_);
       TWRS_RETURN_IF_ERROR(Stored(heap_.Push(side, key)));
     }
-    if (heap_.size() == 0) return sink_->Finish();
+    if (heap_.size() == 0) return sink_.Finish();
 
-    TWRS_RETURN_IF_ERROR(sink_->BeginRun());
+    TWRS_RETURN_IF_ERROR(sink_.BeginRun());
     heuristics_.OnRunStart(&heap_);
     while (heap_.size() > 0) {
       if (!heap_.HasCurrent(HeapSide::kBottom) &&
@@ -76,9 +79,9 @@ class Engine {
         TWRS_RETURN_IF_ERROR(ReadAndInsert());
       }
     }
-    TWRS_RETURN_IF_ERROR(victim_.FlushFinal(sink_));
-    TWRS_RETURN_IF_ERROR(sink_->EndRun());
-    return sink_->Finish();
+    TWRS_RETURN_IF_ERROR(victim_.FlushFinal(&sink_));
+    TWRS_RETURN_IF_ERROR(sink_.EndRun());
+    return sink_.Finish();
   }
 
   void ExportStats() {
@@ -91,9 +94,9 @@ class Engine {
 
  private:
   Status StartNextRun() {
-    TWRS_RETURN_IF_ERROR(victim_.FlushFinal(sink_));
-    TWRS_RETURN_IF_ERROR(sink_->EndRun());
-    TWRS_RETURN_IF_ERROR(sink_->BeginRun());
+    TWRS_RETURN_IF_ERROR(victim_.FlushFinal(&sink_));
+    TWRS_RETURN_IF_ERROR(sink_.EndRun());
+    TWRS_RETURN_IF_ERROR(sink_.BeginRun());
     heap_.StartNextRun();
     // The new run re-establishes its own output division.
     s4_bound_ = kKeyMax;
@@ -125,7 +128,7 @@ class Engine {
   // when that side's stream still accepts it, or to the next run.
   Status RouteStray(Key key, HeapSide from) {
     if (victim_.RangeContains(key)) {
-      if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(sink_));
+      if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(&sink_));
       if (victim_.RangeContains(key)) {
         victim_.Add(key);
         ++victim_records_;
@@ -226,7 +229,7 @@ class Engine {
 
     // A popped record inside the valid range belongs in the victim buffer.
     if (victim_.RangeContains(key)) {
-      if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(sink_));
+      if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(&sink_));
       if (victim_.RangeContains(key)) {
         victim_.Add(key);
         ++victim_records_;
@@ -253,7 +256,7 @@ class Engine {
   }
 
   Status Emit(RunStream stream, HeapSide side, Key key) {
-    TWRS_RETURN_IF_ERROR(sink_->Append(stream, key));
+    TWRS_RETURN_IF_ERROR(sink_.Add(stream, key));
     heuristics_.OnOutput(side, key);
     if (stream == kStream4) {
       s4_bound_ = key;  // stream 4 is non-increasing
@@ -276,16 +279,19 @@ class Engine {
   // absorbed there (reading on), the first record outside it goes to a heap.
   Status ReadAndInsert() {
     Key key;
-    if (!input_.Next(&key)) return Status::OK();
+    bool eof = false;
+    TWRS_RETURN_IF_ERROR(input_.Next(&key, &eof));
+    if (eof) return Status::OK();
     heuristics_.OnRecordSeen(key);
     while (victim_.range_set() && victim_.RangeContains(key)) {
       if (victim_.Full()) {
-        TWRS_RETURN_IF_ERROR(victim_.FlushActive(sink_));
+        TWRS_RETURN_IF_ERROR(victim_.FlushActive(&sink_));
         if (!victim_.RangeContains(key)) break;  // range narrowed past key
       }
       victim_.Add(key);
       ++victim_records_;
-      if (!input_.Next(&key)) return Status::OK();
+      TWRS_RETURN_IF_ERROR(input_.Next(&key, &eof));
+      if (eof) return Status::OK();
       heuristics_.OnRecordSeen(key);
     }
     return InsertRecord(key);
@@ -306,7 +312,8 @@ class Engine {
   }
 
   const TwoWayOptions& options_;
-  RunSink* sink_;
+  // Every run-sink call goes through this buffer, in emission order.
+  BufferedRunSink sink_;
   RunGenStats* stats_;
 
   DoubleHeap heap_;

@@ -111,21 +111,20 @@ Status VictimBuffer::FlushActive(RunSink* sink) {
   ++flush_count_;
   if (values_.size() == 1) {
     const Key v = values_.front();
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream3, v));
+    TWRS_RETURN_IF_ERROR(sink->AppendBatch(kStream3, &v, 1));
     range_lo_ = v;
     values_.clear();
     return Status::OK();
   }
   const size_t gap = LargestGapIndex();
-  for (size_t i = 0; i <= gap; ++i) {
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream3, values_[i]));
-  }
-  for (size_t i = values_.size(); i > gap + 1; --i) {
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream2, values_[i - 1]));
-  }
   // The flushed ranges nest: the new valid range is inside the old one.
   range_lo_ = values_[gap];
   range_hi_ = values_[gap + 1];
+  TWRS_RETURN_IF_ERROR(sink->AppendBatch(kStream3, values_.data(), gap + 1));
+  // Stream 2 decreases: hand the upper part over largest first.
+  std::reverse(values_.begin() + gap + 1, values_.end());
+  TWRS_RETURN_IF_ERROR(sink->AppendBatch(kStream2, values_.data() + gap + 1,
+                                         values_.size() - gap - 1));
   values_.clear();
   return Status::OK();
 }
@@ -133,9 +132,8 @@ Status VictimBuffer::FlushActive(RunSink* sink) {
 Status VictimBuffer::FlushFinal(RunSink* sink) {
   if (values_.empty()) return Status::OK();
   simd::SortKeysBlock(values_.data(), values_.size());
-  for (Key v : values_) {
-    TWRS_RETURN_IF_ERROR(sink->Append(kStream3, v));
-  }
+  TWRS_RETURN_IF_ERROR(sink->AppendBatch(kStream3, values_.data(),
+                                         values_.size()));
   values_.clear();
   return Status::OK();
 }

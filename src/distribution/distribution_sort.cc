@@ -6,6 +6,7 @@
 
 #include "merge/external_sorter.h"
 #include "simd/kernels.h"
+#include "workload/generators.h"
 
 namespace twrs {
 
@@ -45,7 +46,7 @@ class Context {
       std::vector<Key> keys;
       TWRS_RETURN_IF_ERROR(ReadAllRecords(env_, path, &keys));
       simd::SortKeysBlock(keys.data(), keys.size());
-      for (Key k : keys) TWRS_RETURN_IF_ERROR(output_->Append(k));
+      TWRS_RETURN_IF_ERROR(output_->AppendBatch(keys.data(), keys.size()));
       if (stats_ != nullptr) ++stats_->in_memory_sorts;
       return env_->RemoveFile(path);
     }
@@ -126,32 +127,10 @@ class Context {
     ExternalSorter sorter(env_, sort_options);
     const std::string sorted_path = NextTempPath();
 
-    class FileSource : public RecordSource {
-     public:
-      FileSource(Env* env, const std::string& path, size_t block_bytes)
-          : reader_(env, path, block_bytes) {}
-      bool Next(Key* key) override {
-        bool eof = false;
-        if (!reader_.status().ok()) return false;
-        if (!reader_.Next(key, &eof).ok()) return false;
-        return !eof;
-      }
-
-     private:
-      RecordReader reader_;
-    };
-
-    FileSource bucket_source(env_, path, options_.block_bytes);
+    FileRecordSource bucket_source(env_, path, options_.block_bytes);
     TWRS_RETURN_IF_ERROR(sorter.Sort(&bucket_source, sorted_path, nullptr));
-    RecordReader sorted(env_, sorted_path, options_.block_bytes);
-    TWRS_RETURN_IF_ERROR(sorted.status());
-    for (;;) {
-      Key key;
-      bool eof;
-      TWRS_RETURN_IF_ERROR(sorted.Next(&key, &eof));
-      if (eof) break;
-      TWRS_RETURN_IF_ERROR(output_->Append(key));
-    }
+    FileRecordSource sorted(env_, sorted_path, options_.block_bytes);
+    TWRS_RETURN_IF_ERROR(AppendAllRecords(&sorted, output_));
     if (stats_ != nullptr) ++stats_->fallback_sorts;
     TWRS_RETURN_IF_ERROR(env_->RemoveFile(sorted_path));
     return env_->RemoveFile(path);
@@ -165,6 +144,51 @@ class Context {
   uint64_t counter_ = 0;
 };
 
+// Pass 0 plus the recursive bucket sorts, inside `work_dir`.
+Status DistributeAll(Env* env, RecordSource* source,
+                     const DistributionSortOptions& options,
+                     const std::string& work_dir,
+                     const std::string& output_path,
+                     DistributionSortStats* stats) {
+  // Pass 0: materialize the stream while learning its range — a streaming
+  // input's min/max are unknown up front (the paper assumes a known range;
+  // this pass removes that assumption).
+  const std::string staging = work_dir + "/staging";
+  uint64_t count = 0;
+  Key min_key = 0;
+  Key max_key = 0;
+  {
+    RecordWriter writer(env, staging, options.block_bytes);
+    TWRS_RETURN_IF_ERROR(writer.status());
+    std::vector<Key> batch(
+        std::max<size_t>(1, options.block_bytes / kRecordBytes));
+    for (;;) {
+      size_t n = 0;
+      TWRS_RETURN_IF_ERROR(source->NextBatch(batch.data(), batch.size(), &n));
+      if (n == 0) break;
+      const auto [lo, hi] =
+          std::minmax_element(batch.begin(), batch.begin() + n);
+      min_key = count == 0 ? *lo : std::min(min_key, *lo);
+      max_key = count == 0 ? *hi : std::max(max_key, *hi);
+      count += n;
+      TWRS_RETURN_IF_ERROR(writer.AppendBatch(batch.data(), n));
+    }
+    TWRS_RETURN_IF_ERROR(writer.Finish());
+  }
+
+  Status s;
+  {
+    RecordWriter output(env, output_path, options.block_bytes);
+    TWRS_RETURN_IF_ERROR(output.status());
+    Context context(env, options, work_dir, &output, stats);
+    s = context.SortBucket(staging, count, min_key, max_key, 0);
+    if (s.ok()) s = output.Finish();
+  }
+  // This sort truncated the output: a torn file must not pass for a result.
+  if (!s.ok()) TWRS_IGNORE_STATUS(env->RemoveFile(output_path));
+  return s;
+}
+
 }  // namespace
 
 Status DistributionSort(Env* env, RecordSource* source,
@@ -177,37 +201,11 @@ Status DistributionSort(Env* env, RecordSource* source,
   const std::string work_dir =
       options.temp_dir + "/" + UniqueScratchDirName("dist");
   TWRS_RETURN_IF_ERROR(env->CreateDirIfMissing(work_dir));
-
-  // Pass 0: materialize the stream while learning its range — a streaming
-  // input's min/max are unknown up front (the paper assumes a known range;
-  // this pass removes that assumption).
-  const std::string staging = work_dir + "/staging";
-  uint64_t count = 0;
-  Key min_key = 0;
-  Key max_key = 0;
-  {
-    RecordWriter writer(env, staging, options.block_bytes);
-    TWRS_RETURN_IF_ERROR(writer.status());
-    Key key;
-    while (source->Next(&key)) {
-      if (count == 0) {
-        min_key = max_key = key;
-      } else {
-        min_key = std::min(min_key, key);
-        max_key = std::max(max_key, key);
-      }
-      ++count;
-      TWRS_RETURN_IF_ERROR(writer.Append(key));
-    }
-    TWRS_RETURN_IF_ERROR(writer.Finish());
+  Status s = DistributeAll(env, source, options, work_dir, output_path, stats);
+  if (!s.ok()) {
+    RemoveTreeBestEffort(env, work_dir);  // no bucket outlives a failure
+    return s;
   }
-
-  RecordWriter output(env, output_path, options.block_bytes);
-  TWRS_RETURN_IF_ERROR(output.status());
-  Context context(env, options, work_dir, &output, stats);
-  TWRS_RETURN_IF_ERROR(
-      context.SortBucket(staging, count, min_key, max_key, 0));
-  TWRS_RETURN_IF_ERROR(output.Finish());
   return env->RemoveDir(work_dir);
 }
 

@@ -16,6 +16,35 @@
 
 namespace twrs {
 
+namespace {
+
+/// The sort's view of its input: polls the cancel token and adds to the
+/// ingest progress count once per batch, so run generation (and the
+/// dual-heap selection) stops at the next batch after a cancel.
+class IngestSource : public RecordSource {
+ public:
+  IngestSource(RecordSource* base, const CancelToken* cancel,
+               ProgressCounters* progress)
+      : base_(base), cancel_(cancel), progress_(progress) {}
+
+  Status NextBatch(Key* out, size_t max, size_t* got) override {
+    *got = 0;
+    if (IsCancelled(cancel_)) {
+      return Status::Cancelled("sort cancelled while reading its input");
+    }
+    TWRS_RETURN_IF_ERROR(base_->NextBatch(out, max, got));
+    if (progress_ != nullptr) progress_->AddRecordsIngested(*got);
+    return Status::OK();
+  }
+
+ private:
+  RecordSource* base_;
+  const CancelToken* cancel_;
+  ProgressCounters* progress_;
+};
+
+}  // namespace
+
 const char* RunGenAlgorithmName(RunGenAlgorithm algorithm) {
   switch (algorithm) {
     case RunGenAlgorithm::kReplacementSelection:
@@ -100,10 +129,11 @@ Status ExternalSorter::SortIntoRange(RecordSource* source,
   return SortInternal(source, output_path, range, result);
 }
 
-Status ExternalSorter::SortInternal(RecordSource* source,
+Status ExternalSorter::SortInternal(RecordSource* input,
                                     const std::string& output_path,
                                     const MergeOutputRange& range,
                                     ExternalSortResult* result) {
+  IngestSource source(input, options_.cancel, options_.progress);
   // All engine I/O (runs, intermediate merges, output) goes through a
   // counting decorator so the result can report real byte volume. The
   // output path is watched so the error path knows whether this sort
@@ -134,7 +164,7 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   if (strategy == TopKStrategy::kDualHeap) {
     Stopwatch total_watch;
     ExternalSortResult local;
-    Status s = DualHeapSelectToFile(&env, options_, source, output_path,
+    Status s = DualHeapSelectToFile(&env, options_, &source, output_path,
                                     &local);
     if (!s.ok()) {
       if (env.watched_created()) {
@@ -155,7 +185,7 @@ Status ExternalSorter::SortInternal(RecordSource* source,
   context.output_range = range;
 
   Stopwatch total_watch;
-  Status s = RunGenerationPhase(source, &context);
+  Status s = RunGenerationPhase(&source, &context);
   if (s.ok()) s = MergePlanningPhase(&context);
   if (s.ok()) s = FinalMergePhase(output_path, &context);
   if (!s.ok()) {

@@ -10,98 +10,6 @@
 
 namespace twrs {
 
-namespace {
-
-/// Truncates the input stream once the token fires, so run generation
-/// stops consuming promptly even during a fill phase that emits nothing.
-/// The sink wrapper below turns the cancellation into a Status, so the
-/// early EOF cannot masquerade as a short-but-successful sort.
-class CancellableSource : public RecordSource {
- public:
-  CancellableSource(RecordSource* base, const CancelToken* cancel)
-      : base_(base), cancel_(cancel) {}
-
-  bool Next(Key* key) override {
-    if (IsCancelled(cancel_)) return false;
-    return base_->Next(key);
-  }
-
- private:
-  RecordSource* base_;
-  const CancelToken* cancel_;
-};
-
-/// Forwards to the real sink but fails BeginRun/Append once the token
-/// fires — the per-record cancellation point of the run-generation loop.
-/// EndRun/Finish still forward so the base sink's protocol state stays
-/// consistent while the error unwinds.
-class CancellableSink : public RunSink {
- public:
-  CancellableSink(RunSink* base, const CancelToken* cancel)
-      : base_(base), cancel_(cancel) {}
-
-  Status BeginRun() override {
-    if (IsCancelled(cancel_)) return CancelledStatus();
-    return base_->BeginRun();
-  }
-
-  Status Append(RunStream stream, Key key) override {
-    if (IsCancelled(cancel_)) return CancelledStatus();
-    return base_->Append(stream, key);
-  }
-
-  Status EndRun() override {
-    Status s = base_->EndRun();
-    // Mirror only the newly completed run, so FillStatsFromSink works on
-    // the wrapper without an O(runs^2) re-copy across the generation.
-    if (base_->runs().size() > runs_.size()) {
-      runs_.push_back(base_->runs().back());
-    }
-    return s;
-  }
-
-  Status Finish() override { return base_->Finish(); }
-
- private:
-  static Status CancelledStatus() {
-    return Status::Cancelled("sort cancelled during run generation");
-  }
-
-  RunSink* base_;
-  const CancelToken* cancel_;
-};
-
-/// Counts the records run generation actually consumes, batched so the
-/// per-record cost is a local increment; the destructor flushes the
-/// remainder on every exit path (EOF, cancel truncation, error unwind).
-class ProgressSource : public RecordSource {
- public:
-  static constexpr uint64_t kBatch = 1024;
-
-  ProgressSource(RecordSource* base, ProgressCounters* progress)
-      : base_(base), progress_(progress) {}
-
-  ~ProgressSource() override {
-    if (pending_ > 0) progress_->AddRecordsIngested(pending_);
-  }
-
-  bool Next(Key* key) override {
-    if (!base_->Next(key)) return false;
-    if (++pending_ == kBatch) {
-      progress_->AddRecordsIngested(kBatch);
-      pending_ = 0;
-    }
-    return true;
-  }
-
- private:
-  RecordSource* base_;
-  ProgressCounters* progress_;
-  uint64_t pending_ = 0;
-};
-
-}  // namespace
-
 Status PrepareSortContext(Env* env, const ExternalSortOptions& options,
                           SortContext* context) {
   context->env = env;
@@ -141,38 +49,16 @@ Status RunGenerationPhase(RecordSource* input, SortContext* context) {
   }
   FileRunSink sink(context->env, context->sort_dir, "sort", sink_options);
 
-  CancellableSource cancellable_source(input, context->cancel);
-  CancellableSink cancellable_sink(&sink, context->cancel);
-  RecordSource* source = input;
-  RunSink* out = &sink;
-  if (context->cancel != nullptr) {
-    source = &cancellable_source;
-    out = &cancellable_sink;
-  }
-  // Outermost wrapper, so only records the generator really received are
-  // counted (a fired cancel token truncates the inner source first).
-  std::unique_ptr<ProgressSource> progress_source;
-  if (context->progress != nullptr) {
-    progress_source =
-        std::make_unique<ProgressSource>(source, context->progress);
-    source = progress_source.get();
-  }
-
   Stopwatch watch;
   TWRS_RETURN_IF_ERROR(
-      generator->Generate(source, out, &context->result.run_gen));
-  // A source that failed mid-stream (a torn input file, a read error) ended
-  // early: the runs hold only a prefix of the input, and no output has been
-  // opened yet, so the sort fails here without touching it.
-  TWRS_RETURN_IF_ERROR(input->status());
+      generator->Generate(input, &sink, &context->result.run_gen));
   if (IsCancelled(context->cancel)) {
-    // The token fired after the last sink call (e.g. during the final
-    // heap drain): the truncated input made generation "succeed", but the
-    // job is cancelled all the same.
+    // The token fired after the last input batch was read (e.g. during the
+    // final heap drain): generation finished, but the job is cancelled all
+    // the same.
     return Status::Cancelled("sort cancelled during run generation");
   }
   context->result.run_gen_seconds = watch.ElapsedSeconds();
-  progress_source.reset();  // flush the batched remainder before returning
   if (context->metrics != nullptr) {
     context->metrics->Histogram("sort.run_generation_seconds")
         ->RecordSeconds(context->result.run_gen_seconds);

@@ -1,6 +1,7 @@
 #include "select/dual_heap_selector.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace twrs {
 
@@ -38,13 +39,19 @@ std::vector<Key> DualHeapSelector::Take() {
   return keys;
 }
 
-void SelectTopK(RecordSource* source, size_t k, SelectOrder order,
-                std::vector<Key>* out, uint64_t* consumed) {
+Status SelectTopK(RecordSource* source, size_t k, SelectOrder order,
+                  std::vector<Key>* out, uint64_t* consumed) {
   DualHeapSelector selector(k, order);
-  Key key = 0;
-  while (source->Next(&key)) selector.Add(key);
+  Key batch[1024];  // 8 KiB next to the K-record heap
+  for (;;) {
+    size_t n = 0;
+    TWRS_RETURN_IF_ERROR(source->NextBatch(batch, std::size(batch), &n));
+    if (n == 0) break;
+    for (size_t i = 0; i < n; ++i) selector.Add(batch[i]);
+  }
   if (consumed != nullptr) *consumed = selector.consumed();
   *out = selector.Take();
+  return Status::OK();
 }
 
 }  // namespace twrs

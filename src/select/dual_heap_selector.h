@@ -9,6 +9,7 @@
 #include "core/record_source.h"
 #include "heap/double_heap.h"
 #include "select/topk.h"
+#include "util/status.h"
 
 namespace twrs {
 
@@ -56,11 +57,11 @@ class DualHeapSelector {
   uint64_t consumed_ = 0;
 };
 
-/// Convenience one-pass driver: streams `source` to exhaustion through a
-/// K-capacity selector. `out` receives the selection ascending-sorted;
-/// `consumed` (optional) the stream length.
-void SelectTopK(RecordSource* source, size_t k, SelectOrder order,
-                std::vector<Key>* out, uint64_t* consumed = nullptr);
+/// One-pass driver: streams `source` to exhaustion through a K-capacity
+/// selector. `out` receives the selection ascending-sorted; `consumed`
+/// (optional) the stream length. A failed read of the source is returned.
+Status SelectTopK(RecordSource* source, size_t k, SelectOrder order,
+                  std::vector<Key>* out, uint64_t* consumed = nullptr);
 
 }  // namespace twrs
 

@@ -10,15 +10,6 @@
 
 namespace twrs {
 
-namespace {
-
-// Cancellation/progress granularity of the ingest loop: cheap enough to
-// keep the Add() hot path tight, frequent enough that a cancelled job
-// unwinds promptly (matches CancellableSource's batching in sort_phases).
-constexpr uint64_t kIngestBatch = 1024;
-
-}  // namespace
-
 Status DualHeapSelectToFile(Env* env, const ExternalSortOptions& options,
                             RecordSource* source,
                             const std::string& output_path,
@@ -28,34 +19,18 @@ Status DualHeapSelectToFile(Env* env, const ExternalSortOptions& options,
     options.progress->AdvancePhase(SortProgressPhase::kRunGeneration);
   }
 
-  DualHeapSelector selector(options.limit, options.order);
-  Key key = 0;
-  uint64_t batch = 0;
-  while (source->Next(&key)) {
-    selector.Add(key);
-    if (++batch == kIngestBatch) {
-      if (options.progress != nullptr) {
-        options.progress->AddRecordsIngested(batch);
-      }
-      batch = 0;
-      if (IsCancelled(options.cancel)) {
-        return Status::Cancelled("sort cancelled during top-K selection");
-      }
-    }
-  }
-  if (batch > 0 && options.progress != nullptr) {
-    options.progress->AddRecordsIngested(batch);
-  }
-  // A source that failed mid-stream ended early; fail before the output is
+  // A source that fails mid-stream fails here, before the output is
   // opened, so a pre-existing file is left untouched.
-  TWRS_RETURN_IF_ERROR(source->status());
-  result->run_gen.total_records = selector.consumed();
+  std::vector<Key> selected;
+  uint64_t consumed = 0;
+  TWRS_RETURN_IF_ERROR(
+      SelectTopK(source, options.limit, options.order, &selected, &consumed));
+  result->run_gen.total_records = consumed;
   result->run_gen_seconds = select_watch.ElapsedSeconds();
 
   if (options.progress != nullptr) {
     options.progress->AdvancePhase(SortProgressPhase::kFinalMerge);
   }
-  const std::vector<Key> selected = selector.Take();
   RecordWriter writer(env, output_path, options.block_bytes);
   TWRS_RETURN_IF_ERROR(writer.status());
   // The selection writes the user-visible output directly — same durability

@@ -19,8 +19,9 @@ namespace twrs {
 ///
 /// Fills `result` like a sort: run_gen.total_records is the stream
 /// length, output_records the selection size, run_gen_seconds the
-/// streaming time. Honors options.cancel/progress/metrics (records
-/// select.dual_heap_sorts and select.selection_seconds).
+/// streaming time. Advances options.progress through the phases and
+/// records select.dual_heap_sorts and select.selection_seconds; the caller
+/// polls cancellation and counts ingested records on `source` itself.
 Status DualHeapSelectToFile(Env* env, const ExternalSortOptions& options,
                             RecordSource* source,
                             const std::string& output_path,

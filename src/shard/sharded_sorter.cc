@@ -68,57 +68,7 @@ Status ShardedSorter::Sort(RecordSource* source,
   if (options_.shards == 1) {
     return SortUnsharded(source, output_path, result);
   }
-
-  Stopwatch staging_watch;
-  CountingEnv env(env_);
-  env.WatchPath(output_path);
-  // Job-level byte progress comes from this outer env; the per-shard
-  // sub-sorts below run with progress_bytes off so their nested
-  // CountingEnvs don't double-count the same I/O.
-  if (options_.sort.progress != nullptr) {
-    env.MirrorBytesTo(options_.sort.progress->bytes_read_counter(),
-                      options_.sort.progress->bytes_written_counter());
-  }
-  const CancelToken* cancel = options_.sort.cancel;
-  const std::string shard_dir =
-      options_.sort.temp_dir + "/" + UniqueScratchDirName("shard");
-  TWRS_RETURN_IF_ERROR(env.CreateDirIfMissing(shard_dir));
-
-  // Pass 0: materialize the stream while reservoir-sampling it — a
-  // streaming input's key distribution is unknown up front.
-  const std::string staged = shard_dir + "/staging";
-  ReservoirSampler sampler(options_.sample_size, options_.sample_seed);
-  uint64_t count = 0;
-  Status s;
-  {
-    RecordWriter writer(&env, staged, options_.split_block_bytes);
-    s = writer.status();
-    Key key;
-    while (s.ok() && source->Next(&key)) {
-      if (IsCancelled(cancel)) {
-        s = Status::Cancelled("sharded sort cancelled during staging");
-        break;
-      }
-      sampler.Add(key);
-      ++count;
-      s = writer.Append(key);
-    }
-    if (s.ok()) s = writer.Finish();
-  }
-  if (s.ok()) {
-    s = SortStaged(&env, staged, /*remove_staged=*/true, shard_dir,
-                   sampler.sample(), count, staging_watch.ElapsedSeconds(),
-                   output_path, result);
-  }
-  if (!s.ok()) {
-    CleanupScratch(staged, /*remove_staged=*/true, shard_dir);
-    // An output this sort truncated is now torn and is removed; a file
-    // the sort never opened is left alone.
-    if (env.watched_created()) {
-      TWRS_IGNORE_STATUS(env_->RemoveFile(output_path));
-    }
-  }
-  return s;
+  return SampleAndSort(source, std::string(), output_path, result);
 }
 
 Status ShardedSorter::SortFile(const std::string& input_path,
@@ -129,7 +79,13 @@ Status ShardedSorter::SortFile(const std::string& input_path,
     FileRecordSource source(env_, input_path, options_.sort.block_bytes);
     return SortUnsharded(&source, output_path, result);
   }
+  return SampleAndSort(nullptr, input_path, output_path, result);
+}
 
+Status ShardedSorter::SampleAndSort(RecordSource* stream,
+                                    const std::string& input_path,
+                                    const std::string& output_path,
+                                    ShardedSortResult* result) {
   Stopwatch staging_watch;
   CountingEnv env(env_);
   env.WatchPath(output_path);
@@ -145,36 +101,51 @@ Status ShardedSorter::SortFile(const std::string& input_path,
       options_.sort.temp_dir + "/" + UniqueScratchDirName("shard");
   TWRS_RETURN_IF_ERROR(env.CreateDirIfMissing(shard_dir));
 
-  // Pass 0: sample straight off the file — no staging copy needed, the
-  // partition pass below re-reads it.
+  // Pass 0: reservoir-sample the input. A stream's key distribution is
+  // unknown up front, so it is staged to a scratch file on the way; a
+  // record file is sampled in place and re-read by the partition pass.
+  const bool staged = stream != nullptr;
+  const std::string path = staged ? shard_dir + "/staging" : input_path;
   ReservoirSampler sampler(options_.sample_size, options_.sample_seed);
   uint64_t count = 0;
   Status s;
   {
-    RecordReader reader(&env, input_path, options_.split_block_bytes);
-    s = reader.status();
+    std::unique_ptr<RecordWriter> writer;
+    std::unique_ptr<FileRecordSource> file;
+    if (staged) {
+      writer = std::make_unique<RecordWriter>(&env, path,
+                                              options_.split_block_bytes);
+      s = writer->status();
+    } else {
+      file = std::make_unique<FileRecordSource>(&env, path,
+                                                options_.split_block_bytes);
+      stream = file.get();
+    }
+    std::vector<Key> batch(kDefaultBlockBytes / kRecordBytes);
     while (s.ok()) {
       if (IsCancelled(cancel)) {
         s = Status::Cancelled("sharded sort cancelled during sampling");
         break;
       }
-      Key key;
-      bool eof;
-      s = reader.Next(&key, &eof);
-      if (!s.ok() || eof) break;
-      sampler.Add(key);
-      ++count;
+      size_t n = 0;
+      s = stream->NextBatch(batch.data(), batch.size(), &n);
+      if (!s.ok() || n == 0) break;
+      for (size_t i = 0; i < n; ++i) sampler.Add(batch[i]);
+      count += n;
+      if (staged) s = writer->AppendBatch(batch.data(), n);
     }
+    if (s.ok() && staged) s = writer->Finish();
   }
   if (s.ok()) {
-    s = SortStaged(&env, input_path, /*remove_staged=*/false, shard_dir,
-                   sampler.sample(), count, staging_watch.ElapsedSeconds(),
-                   output_path, result);
+    s = SortStaged(&env, path, staged, shard_dir, sampler.sample(), count,
+                   staging_watch.ElapsedSeconds(), output_path, result);
   }
   if (!s.ok()) {
-    CleanupScratch(input_path, /*remove_staged=*/false, shard_dir);
+    CleanupScratch(path, staged, shard_dir);
+    // An output this sort truncated is now torn and is removed; a file
+    // the sort never opened is left alone.
     if (env.watched_created()) {
-      TWRS_IGNORE_STATUS(env_->RemoveFile(output_path));  // torn
+      TWRS_IGNORE_STATUS(env_->RemoveFile(output_path));
     }
   }
   return s;

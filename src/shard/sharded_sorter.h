@@ -107,6 +107,13 @@ class ShardedSorter {
  private:
   Status Validate() const;
 
+  /// The sharded path of both entry points: samples `stream` (staging it
+  /// to a scratch file on the way) or, when `stream` is null, the record
+  /// file at `input_path` in place, then hands over to SortStaged.
+  Status SampleAndSort(RecordSource* stream, const std::string& input_path,
+                       const std::string& output_path,
+                       ShardedSortResult* result);
+
   /// Shared tail of both entry points: partitions `staged_path` by the
   /// splitters picked from `sample`, then sorts every shard concurrently,
   /// each writing its precomputed byte range of `output_path` directly.

@@ -1,6 +1,8 @@
 #include "workload/generators.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "util/random.h"
 
@@ -8,139 +10,84 @@ namespace twrs {
 
 namespace {
 
-// Adds the paper's per-record +U[1,1000] noise to a base sequence (§5.2).
-class NoisySource : public RecordSource {
+// Streams `n` records, the i-th of which is `key(i)` (called in order of
+// i), optionally plus the paper's per-record +U[1,1000] noise (§5.2).
+template <typename KeyFn>
+class GeneratedSource : public RecordSource {
  public:
-  NoisySource(std::unique_ptr<RecordSource> base, uint64_t seed)
-      : base_(std::move(base)), rng_(seed) {}
+  GeneratedSource(uint64_t n, KeyFn key, bool add_noise, uint64_t noise_seed)
+      : n_(n),
+        key_(std::move(key)),
+        add_noise_(add_noise),
+        noise_(noise_seed) {}
 
-  bool Next(Key* key) override {
-    if (!base_->Next(key)) return false;
-    *key += static_cast<Key>(1 + rng_.Uniform(1000));
-    return true;
-  }
-
- private:
-  std::unique_ptr<RecordSource> base_;
-  Random rng_;
-};
-
-class SortedSource : public RecordSource {
- public:
-  SortedSource(uint64_t n, Key stride) : n_(n), stride_(stride) {}
-
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    *key = static_cast<Key>(i_++) * stride_;
-    return true;
+  Status NextBatch(Key* out, size_t max, size_t* got) override {
+    *got = 0;
+    for (; *got < max && i_ < n_; ++i_) {
+      Key k = key_(i_);
+      if (add_noise_) k += static_cast<Key>(1 + noise_.Uniform(1000));
+      out[(*got)++] = k;
+    }
+    return Status::OK();
   }
 
  private:
   uint64_t n_;
-  Key stride_;
+  KeyFn key_;
+  bool add_noise_;
+  Random noise_;
   uint64_t i_ = 0;
 };
 
-class ReverseSortedSource : public RecordSource {
- public:
-  ReverseSortedSource(uint64_t n, Key stride) : n_(n), stride_(stride) {}
-
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    *key = static_cast<Key>(n_ - 1 - i_) * stride_;
-    ++i_;
-    return true;
-  }
-
- private:
-  uint64_t n_;
-  Key stride_;
-  uint64_t i_ = 0;
-};
+template <typename KeyFn>
+std::unique_ptr<RecordSource> Generated(const WorkloadOptions& options,
+                                        KeyFn key) {
+  // Different seed stream than the random dataset's so random data and its
+  // noise are not correlated.
+  return std::make_unique<GeneratedSource<KeyFn>>(
+      options.num_records, std::move(key), options.add_noise,
+      options.seed ^ 0x5851f42d4c957f2dULL);
+}
 
 // Triangle wave (Fig 5.1c): `sections` alternating ascending and descending
 // ramps, each spanning the full key range.
-class AlternatingSource : public RecordSource {
- public:
-  AlternatingSource(uint64_t n, uint64_t sections, Key stride)
-      : n_(n),
-        section_len_(std::max<uint64_t>(1, n / std::max<uint64_t>(1, sections))),
-        stride_(stride) {}
-
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    const uint64_t section = i_ / section_len_;
-    const uint64_t pos = i_ % section_len_;
+std::unique_ptr<RecordSource> Alternating(const WorkloadOptions& options) {
+  const uint64_t n = options.num_records;
+  const Key stride = options.stride;
+  const uint64_t section_len = std::max<uint64_t>(
+      1, n / std::max<uint64_t>(1, options.sections));
+  return Generated(options, [=](uint64_t i) {
+    const uint64_t section = i / section_len;
+    const uint64_t pos = i % section_len;
     // Scale the in-section position onto the full [0, n) key span.
-    const uint64_t denominator = std::max<uint64_t>(1, section_len_ - 1);
-    uint64_t level = pos * (n_ - 1) / denominator;
-    if (section % 2 == 1) level = (n_ - 1) - level;  // descending section
-    *key = static_cast<Key>(level) * stride_;
-    ++i_;
-    return true;
-  }
-
- private:
-  uint64_t n_;
-  uint64_t section_len_;
-  Key stride_;
-  uint64_t i_ = 0;
-};
-
-class RandomSource : public RecordSource {
- public:
-  RandomSource(uint64_t n, Key stride, uint64_t seed)
-      : n_(n), range_(n * static_cast<uint64_t>(stride)), rng_(seed) {}
-
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    *key = static_cast<Key>(rng_.Uniform(std::max<uint64_t>(1, range_)));
-    ++i_;
-    return true;
-  }
-
- private:
-  uint64_t n_;
-  uint64_t range_;
-  Random rng_;
-  uint64_t i_ = 0;
-};
+    const uint64_t denominator = std::max<uint64_t>(1, section_len - 1);
+    uint64_t level = pos * (n - 1) / denominator;
+    if (section % 2 == 1) level = (n - 1) - level;  // descending section
+    return static_cast<Key>(level) * stride;
+  });
+}
 
 // Interleaves a rising trend and a falling trend that *diverge* from a
 // common split point (Fig 5.1e/f and the worked example of §4.5): the
 // rising records walk up from the split, the falling ones walk down. With
 // `up_every` = 2 the interleave is 1:1 (mixed balanced); with 4 it is 1:3
 // (mixed imbalanced).
-class MixedSource : public RecordSource {
- public:
-  MixedSource(uint64_t n, uint64_t up_every, Key stride)
-      : n_(n), up_every_(up_every), stride_(stride) {
-    // The falling branch owns (up_every-1)/up_every of the records, hence
-    // of the key span below the split; the rising branch covers the rest.
-    const uint64_t down_records = n - n / up_every_;
-    split_ = static_cast<Key>(down_records) * stride_;
-  }
-
-  bool Next(Key* key) override {
-    if (i_ == n_) return false;
-    if (i_ % up_every_ == 0) {
-      *key = split_ + static_cast<Key>(up_count_++) * stride_;
-    } else {
-      *key = split_ - static_cast<Key>(++down_count_) * stride_;
-    }
-    ++i_;
-    return true;
-  }
-
- private:
-  uint64_t n_;
-  uint64_t up_every_;
-  Key stride_;
-  Key split_ = 0;
-  uint64_t i_ = 0;
-  uint64_t up_count_ = 0;
-  uint64_t down_count_ = 0;
-};
+std::unique_ptr<RecordSource> Mixed(const WorkloadOptions& options,
+                                    uint64_t up_every) {
+  const Key stride = options.stride;
+  // The falling branch owns (up_every-1)/up_every of the records, hence of
+  // the key span below the split; the rising branch covers the rest.
+  const uint64_t down_records =
+      options.num_records - options.num_records / up_every;
+  const Key split = static_cast<Key>(down_records) * stride;
+  return Generated(options, [=](uint64_t i) {
+    // Record i is rising record i / up_every (from 0), or falling record
+    // i - i / up_every (from 1).
+    const uint64_t up = i / up_every;
+    if (i % up_every == 0) return split + static_cast<Key>(up) * stride;
+    return split - static_cast<Key>(i - up) * stride;
+  });
+}
 
 }  // namespace
 
@@ -164,58 +111,50 @@ const char* DatasetName(Dataset dataset) {
 
 std::unique_ptr<RecordSource> MakeWorkload(Dataset dataset,
                                            const WorkloadOptions& options) {
-  std::unique_ptr<RecordSource> base;
+  const uint64_t n = options.num_records;
+  const Key stride = options.stride;
   switch (dataset) {
     case Dataset::kSorted:
-      base = std::make_unique<SortedSource>(options.num_records,
-                                            options.stride);
-      break;
+      return Generated(
+          options, [=](uint64_t i) { return static_cast<Key>(i) * stride; });
     case Dataset::kReverseSorted:
-      base = std::make_unique<ReverseSortedSource>(options.num_records,
-                                                   options.stride);
-      break;
+      return Generated(options, [=](uint64_t i) {
+        return static_cast<Key>(n - 1 - i) * stride;
+      });
     case Dataset::kAlternating:
-      base = std::make_unique<AlternatingSource>(
-          options.num_records, options.sections, options.stride);
-      break;
-    case Dataset::kRandom:
-      base = std::make_unique<RandomSource>(options.num_records,
-                                            options.stride, options.seed);
-      break;
+      return Alternating(options);
+    case Dataset::kRandom: {
+      const uint64_t range =
+          std::max<uint64_t>(1, n * static_cast<uint64_t>(stride));
+      return Generated(options, [range, rng = Random(options.seed)](
+                                    uint64_t) mutable {
+        return static_cast<Key>(rng.Uniform(range));
+      });
+    }
     case Dataset::kMixed:
-      base = std::make_unique<MixedSource>(options.num_records, 2,
-                                           options.stride);
-      break;
+      return Mixed(options, 2);
     case Dataset::kMixedImbalanced:
-      base = std::make_unique<MixedSource>(options.num_records, 4,
-                                           options.stride);
-      break;
+      return Mixed(options, 4);
   }
-  if (options.add_noise) {
-    // Different seed stream than RandomSource so random data and its noise
-    // are not correlated.
-    base = std::make_unique<NoisySource>(std::move(base),
-                                         options.seed ^ 0x5851f42d4c957f2dULL);
-  }
-  return base;
+  return nullptr;
 }
 
 FileRecordSource::FileRecordSource(Env* env, const std::string& path,
                                    size_t block_bytes)
     : reader_(env, path, block_bytes) {}
 
-bool FileRecordSource::Next(Key* key) {
-  if (!reader_.status().ok()) {
-    status_ = reader_.status();
-    return false;
-  }
-  bool eof = false;
-  status_ = reader_.Next(key, &eof);
-  return status_.ok() && !eof;
+Status FileRecordSource::NextBatch(Key* out, size_t max, size_t* got) {
+  return reader_.NextBatch(out, max, got);
 }
 
-Status FileRecordSource::status() const {
-  return status_.ok() ? reader_.status() : status_;
+Status AppendAllRecords(RecordSource* source, RecordWriter* writer) {
+  std::vector<Key> batch(kDefaultBlockBytes / kRecordBytes);
+  for (;;) {
+    size_t n = 0;
+    TWRS_RETURN_IF_ERROR(source->NextBatch(batch.data(), batch.size(), &n));
+    if (n == 0) return Status::OK();
+    TWRS_RETURN_IF_ERROR(writer->AppendBatch(batch.data(), n));
+  }
 }
 
 Status WriteWorkloadToFile(Env* env, Dataset dataset,
@@ -224,10 +163,7 @@ Status WriteWorkloadToFile(Env* env, Dataset dataset,
   std::unique_ptr<RecordSource> source = MakeWorkload(dataset, options);
   RecordWriter writer(env, path);
   TWRS_RETURN_IF_ERROR(writer.status());
-  Key key;
-  while (source->Next(&key)) {
-    TWRS_RETURN_IF_ERROR(writer.Append(key));
-  }
+  TWRS_RETURN_IF_ERROR(AppendAllRecords(source.get(), &writer));
   return writer.Finish();
 }
 

@@ -55,15 +55,19 @@ class FileRecordSource : public RecordSource {
   FileRecordSource(Env* env, const std::string& path,
                    size_t block_bytes = kDefaultBlockBytes);
 
-  bool Next(Key* key) override;
+  /// Forwards to RecordReader::NextBatch: a torn file or a failed read is
+  /// the returned Status.
+  Status NextBatch(Key* out, size_t max, size_t* got) override;
 
-  /// I/O health of the underlying reader (Next returns false on error).
-  Status status() const override;
+  /// The reader's first error, if any (the last NextBatch returned it).
+  const Status& status() const { return reader_.status(); }
 
  private:
   RecordReader reader_;
-  Status status_;
 };
+
+/// Appends every record of `source` to `writer`.
+Status AppendAllRecords(RecordSource* source, RecordWriter* writer);
 
 /// Materializes a workload into a record file (benchmark setup helper).
 Status WriteWorkloadToFile(Env* env, Dataset dataset,

@@ -107,6 +107,25 @@ TEST(DistributionSortTest, EveryDatasetSortsCorrectly) {
   }
 }
 
+// Regression test: a source that fails mid-stream (here a torn input file)
+// used to end the staging pass early, so the sort published a sorted
+// prefix, returned OK, and on other errors left its work dir behind.
+TEST(DistributionSortTest, TornInputFailsTheSortAndKeepsTheOutput) {
+  MemEnv env;
+  testing::WriteTornInput(&env, "in");
+  ASSERT_TWRS_OK(WriteAllRecords(&env, "out", {1, 2, 3}));
+  const std::vector<uint8_t> before = *env.FileContents("out");
+  FileRecordSource source(&env, "in");
+  const Status s = DistributionSort(&env, &source, Options(), "out", nullptr);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_NE(env.FileContents("out"), nullptr);
+  EXPECT_EQ(*env.FileContents("out"), before);
+  std::vector<std::string> scratch;
+  ASSERT_TWRS_OK(env.ListDir("tmp", &scratch));
+  EXPECT_TRUE(scratch.empty()) << scratch.size();
+  EXPECT_EQ(env.FileCount(), 2u);  // the input and the output
+}
+
 TEST(DistributionSortTest, RejectsSingleBucket) {
   MemEnv env;
   VectorSource source({1});

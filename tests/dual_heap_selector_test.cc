@@ -6,8 +6,11 @@
 #include <vector>
 
 #include "core/record_source.h"
+#include "io/mem_env.h"
 #include "select/topk.h"
+#include "tests/test_util.h"
 #include "util/random.h"
+#include "workload/generators.h"
 
 namespace twrs {
 namespace {
@@ -122,9 +125,19 @@ TEST(DualHeapSelectorTest, SelectTopKDrainsASource) {
   VectorSource source(input);
   std::vector<Key> out;
   uint64_t consumed = 0;
-  SelectTopK(&source, 3, SelectOrder::kAscending, &out, &consumed);
+  ASSERT_TRUE(
+      SelectTopK(&source, 3, SelectOrder::kAscending, &out, &consumed).ok());
   EXPECT_EQ(out, std::vector<Key>({2, 2, 4}));
   EXPECT_EQ(consumed, 5u);
+}
+
+TEST(DualHeapSelectorTest, SelectTopKReturnsTheSourceError) {
+  MemEnv env;
+  testing::WriteTornInput(&env, "in");
+  FileRecordSource source(&env, "in");
+  std::vector<Key> out;
+  EXPECT_TRUE(
+      SelectTopK(&source, 3, SelectOrder::kAscending, &out).IsCorruption());
 }
 
 TEST(DualHeapSelectorTest, OrderAndStrategyNames) {

@@ -335,11 +335,12 @@ class CancelAfterNSource : public RecordSource {
                      CancelToken* token)
       : keys_(std::move(keys)), fire_after_(fire_after), token_(token) {}
 
-  bool Next(Key* key) override {
+  // One record per batch, so the token fires exactly at `fire_after`.
+  Status NextBatch(Key* out, size_t, size_t* got) override {
     if (pos_ == fire_after_) token_->Cancel();
-    if (pos_ == keys_.size()) return false;
-    *key = keys_[pos_++];
-    return true;
+    *got = pos_ < keys_.size() ? 1 : 0;
+    if (*got == 1) out[0] = keys_[pos_++];
+    return Status::OK();
   }
 
  private:
@@ -479,17 +480,7 @@ TEST(ExternalSorterTest, FailureDoesNotDeleteAPreexistingOutputFile) {
 // and let the sort publish a sorted prefix over the existing output.
 TEST(ExternalSorterTest, FailedSourceFailsTheSortAndKeepsTheOutput) {
   MemEnv env;
-  {
-    std::vector<Key> keys(20000);
-    Random rng(27);
-    for (Key& k : keys) k = static_cast<Key>(rng.Next());
-    std::vector<uint8_t> bytes(keys.size() * kRecordBytes + 3, 0x5A);
-    EncodeKeys(keys.data(), keys.size(), bytes.data());
-    std::unique_ptr<WritableFile> in;
-    ASSERT_TWRS_OK(env.NewWritableFile("in", &in));
-    ASSERT_TWRS_OK(in->Append(bytes.data(), bytes.size()));
-    ASSERT_TWRS_OK(in->Close());
-  }
+  testing::WriteTornInput(&env, "in");
   ASSERT_TWRS_OK(WriteAllRecords(&env, "out", {1, 2, 3}));
   const std::vector<uint8_t> before = *env.FileContents("out");
 

@@ -4,6 +4,7 @@
 
 #include "core/input_buffer.h"
 #include "core/record_source.h"
+#include "tests/test_util.h"
 
 namespace twrs {
 namespace {
@@ -48,10 +49,10 @@ TEST(HeuristicsTest, MeanReproducesPaperExampleDecisions) {
   InputBuffer buffer(&source, 4);
   DoubleHeap heap(4);
   Key k;
-  ASSERT_TRUE(buffer.Next(&k));
+  ASSERT_TRUE(testing::Pop(&buffer, &k));
   engine.OnRecordSeen(k);  // seen {40}, lookahead {50, 39, 51}: mean 45
   EXPECT_EQ(engine.ChooseInsertSide(40, &buffer, heap), HeapSide::kBottom);
-  ASSERT_TRUE(buffer.Next(&k));
+  ASSERT_TRUE(testing::Pop(&buffer, &k));
   engine.OnRecordSeen(k);  // seen {40, 50}, lookahead {39, 51}: mean 45
   EXPECT_EQ(engine.ChooseInsertSide(50, &buffer, heap), HeapSide::kTop);
 }
@@ -71,7 +72,7 @@ TEST(HeuristicsTest, MedianUsesBufferWindow) {
   InputBuffer buffer(&source, 4);
   DoubleHeap heap(4);
   Key k;
-  ASSERT_TRUE(buffer.Next(&k));  // window {10,20,100,30}, median 20
+  ASSERT_TRUE(testing::Pop(&buffer, &k));  // window {10,20,100,30}, median 20
   EXPECT_EQ(engine.ChooseInsertSide(25, &buffer, heap), HeapSide::kTop);
   EXPECT_EQ(engine.ChooseInsertSide(15, &buffer, heap), HeapSide::kBottom);
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/record_source.h"
+#include "tests/test_util.h"
 #include "util/random.h"
 
 namespace twrs {
@@ -77,12 +78,12 @@ TEST(InputBufferTest, PassThroughWhenCapacityZero) {
   VectorSource source({1, 2, 3});
   InputBuffer buffer(&source, 0);
   Key k;
-  EXPECT_TRUE(buffer.Next(&k));
+  EXPECT_TRUE(testing::Pop(&buffer, &k));
   EXPECT_EQ(k, 1);
   EXPECT_FALSE(buffer.HasStats());
-  EXPECT_TRUE(buffer.Next(&k));
-  EXPECT_TRUE(buffer.Next(&k));
-  EXPECT_FALSE(buffer.Next(&k));
+  EXPECT_TRUE(testing::Pop(&buffer, &k));
+  EXPECT_TRUE(testing::Pop(&buffer, &k));
+  EXPECT_FALSE(testing::Pop(&buffer, &k));
 }
 
 TEST(InputBufferTest, PreservesInputOrder) {
@@ -90,7 +91,7 @@ TEST(InputBufferTest, PreservesInputOrder) {
   InputBuffer buffer(&source, 3);
   std::vector<Key> out;
   Key k;
-  while (buffer.Next(&k)) out.push_back(k);
+  while (testing::Pop(&buffer, &k)) out.push_back(k);
   EXPECT_EQ(out, std::vector<Key>({4, 8, 15, 16, 23, 42}));
 }
 
@@ -101,11 +102,11 @@ TEST(InputBufferTest, StatsMatchPaperWorkedExample) {
   VectorSource source({40, 50, 39, 51, 38, 52, 37, 53});
   InputBuffer buffer(&source, 4);
   Key k;
-  ASSERT_TRUE(buffer.Next(&k));
+  ASSERT_TRUE(testing::Pop(&buffer, &k));
   EXPECT_EQ(k, 40);
   ASSERT_TRUE(buffer.HasStats());
   EXPECT_DOUBLE_EQ(buffer.Mean(), 45.0);
-  ASSERT_TRUE(buffer.Next(&k));
+  ASSERT_TRUE(testing::Pop(&buffer, &k));
   EXPECT_EQ(k, 50);
   EXPECT_DOUBLE_EQ(buffer.Mean(), 44.5);
 }
@@ -114,9 +115,9 @@ TEST(InputBufferTest, MedianTracksWindow) {
   VectorSource source({10, 20, 30, 40, 50});
   InputBuffer buffer(&source, 4);
   Key k;
-  ASSERT_TRUE(buffer.Next(&k));  // window {10,20,30,40}
+  ASSERT_TRUE(testing::Pop(&buffer, &k));  // window {10,20,30,40}
   EXPECT_EQ(buffer.Median(), 20);
-  ASSERT_TRUE(buffer.Next(&k));  // window {20,30,40,50}
+  ASSERT_TRUE(testing::Pop(&buffer, &k));  // window {20,30,40,50}
   EXPECT_EQ(buffer.Median(), 30);
 }
 
@@ -124,20 +125,20 @@ TEST(InputBufferTest, WindowShrinksAtEndOfInput) {
   VectorSource source({1, 2});
   InputBuffer buffer(&source, 8);
   Key k;
-  ASSERT_TRUE(buffer.Next(&k));
+  ASSERT_TRUE(testing::Pop(&buffer, &k));
   EXPECT_EQ(k, 1);
   EXPECT_DOUBLE_EQ(buffer.Mean(), 1.5);  // window {1,2}
-  ASSERT_TRUE(buffer.Next(&k));
+  ASSERT_TRUE(testing::Pop(&buffer, &k));
   EXPECT_EQ(k, 2);
   EXPECT_DOUBLE_EQ(buffer.Mean(), 2.0);  // window {2}
-  EXPECT_FALSE(buffer.Next(&k));
+  EXPECT_FALSE(testing::Pop(&buffer, &k));
 }
 
 TEST(InputBufferTest, EmptySource) {
   VectorSource source({});
   InputBuffer buffer(&source, 4);
   Key k;
-  EXPECT_FALSE(buffer.Next(&k));
+  EXPECT_FALSE(testing::Pop(&buffer, &k));
   EXPECT_FALSE(buffer.HasStats());
 }
 

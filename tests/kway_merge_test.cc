@@ -41,10 +41,10 @@ RunInfo MakeFourStreamRun(Env* env, const std::string& prefix) {
   options.reverse.page_bytes = 64;
   FileRunSink sink(env, "d", prefix, options);
   EXPECT_TRUE(sink.BeginRun().ok());
-  for (Key k : {15, 10, 5}) EXPECT_TRUE(sink.Append(kStream4, k).ok());
-  for (Key k : {20, 25}) EXPECT_TRUE(sink.Append(kStream3, k).ok());
-  for (Key k : {40, 35}) EXPECT_TRUE(sink.Append(kStream2, k).ok());
-  for (Key k : {50, 60}) EXPECT_TRUE(sink.Append(kStream1, k).ok());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream4, {15, 10, 5}).ok());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream3, {20, 25}).ok());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream2, {40, 35}).ok());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream1, {50, 60}).ok());
   EXPECT_TRUE(sink.EndRun().ok());
   EXPECT_TRUE(sink.Finish().ok());
   return sink.runs()[0];
@@ -159,18 +159,16 @@ RunInfo MakeMixedRun(Env* env, const std::string& prefix,
   const size_t q1 = keys.size() / 4;
   const size_t q2 = keys.size() / 2;
   const size_t q3 = 3 * keys.size() / 4;
-  for (size_t i = q1; i-- > 0;) {
-    EXPECT_TRUE(sink.Append(kStream4, keys[i]).ok());
-  }
-  for (size_t i = q1; i < q2; ++i) {
-    EXPECT_TRUE(sink.Append(kStream3, keys[i]).ok());
-  }
-  for (size_t i = q3; i-- > q2;) {
-    EXPECT_TRUE(sink.Append(kStream2, keys[i]).ok());
-  }
-  for (size_t i = q3; i < keys.size(); ++i) {
-    EXPECT_TRUE(sink.Append(kStream1, keys[i]).ok());
-  }
+  std::vector<Key> s4(keys.begin(), keys.begin() + q1);
+  const std::vector<Key> s3(keys.begin() + q1, keys.begin() + q2);
+  std::vector<Key> s2(keys.begin() + q2, keys.begin() + q3);
+  const std::vector<Key> s1(keys.begin() + q3, keys.end());
+  std::reverse(s4.begin(), s4.end());  // the decreasing streams
+  std::reverse(s2.begin(), s2.end());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream4, s4).ok());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream3, s3).ok());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream2, s2).ok());
+  EXPECT_TRUE(testing::AppendKeys(&sink, kStream1, s1).ok());
   EXPECT_TRUE(sink.EndRun().ok());
   EXPECT_TRUE(sink.Finish().ok());
   return sink.runs()[0];

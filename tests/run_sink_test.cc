@@ -9,15 +9,17 @@
 namespace twrs {
 namespace {
 
+using testing::AppendKeys;
+
 TEST(CountingRunSinkTest, CountsLengthsAndBounds) {
   CountingRunSink sink;
   ASSERT_TWRS_OK(sink.BeginRun());
-  ASSERT_TWRS_OK(sink.Append(kStream1, 5));
-  ASSERT_TWRS_OK(sink.Append(kStream4, 1));
-  ASSERT_TWRS_OK(sink.Append(kStream1, 9));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {5}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream4, {1}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {9}));
   ASSERT_TWRS_OK(sink.EndRun());
   ASSERT_TWRS_OK(sink.BeginRun());
-  ASSERT_TWRS_OK(sink.Append(kStream1, 2));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {2}));
   ASSERT_TWRS_OK(sink.EndRun());
   ASSERT_TWRS_OK(sink.Finish());
   ASSERT_EQ(sink.runs().size(), 2u);
@@ -36,7 +38,7 @@ TEST(CountingRunSinkTest, EmptyRunsAreDropped) {
 
 TEST(CountingRunSinkTest, ProtocolViolationsAreRejected) {
   CountingRunSink sink;
-  EXPECT_FALSE(sink.Append(kStream1, 1).ok());  // outside a run
+  EXPECT_FALSE(AppendKeys(&sink, kStream1, {1}).ok());  // outside a run
   EXPECT_FALSE(sink.EndRun().ok());
   ASSERT_TWRS_OK(sink.BeginRun());
   EXPECT_FALSE(sink.BeginRun().ok());  // nested
@@ -47,14 +49,11 @@ TEST(CollectingRunSinkTest, AssemblesStreamsInAscendingOrder) {
   ASSERT_TWRS_OK(sink.BeginRun());
   // Stream contents mirror Fig 4.9's layout: s4 decreasing low keys, s3
   // ascending, s2 decreasing, s1 ascending high keys.
-  ASSERT_TWRS_OK(sink.Append(kStream4, 38));
-  ASSERT_TWRS_OK(sink.Append(kStream4, 37));
-  ASSERT_TWRS_OK(sink.Append(kStream3, 39));
-  ASSERT_TWRS_OK(sink.Append(kStream3, 40));
-  ASSERT_TWRS_OK(sink.Append(kStream2, 51));
-  ASSERT_TWRS_OK(sink.Append(kStream2, 50));
-  ASSERT_TWRS_OK(sink.Append(kStream1, 52));
-  ASSERT_TWRS_OK(sink.Append(kStream1, 53));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream4, {38, 37}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream3, {39}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream3, {40}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream2, {51, 50}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {52, 53}));
   ASSERT_TWRS_OK(sink.EndRun());
   ASSERT_TWRS_OK(sink.Finish());
   ASSERT_EQ(sink.collected().size(), 1u);
@@ -67,10 +66,11 @@ TEST(CollectingRunSinkTest, AssemblesStreamsInAscendingOrder) {
 TEST(CollectingRunSinkTest, RejectsStreamOrderViolations) {
   CollectingRunSink sink;
   ASSERT_TWRS_OK(sink.BeginRun());
-  ASSERT_TWRS_OK(sink.Append(kStream1, 10));
-  EXPECT_FALSE(sink.Append(kStream1, 9).ok());  // stream 1 must ascend
-  ASSERT_TWRS_OK(sink.Append(kStream4, 5));
-  EXPECT_FALSE(sink.Append(kStream4, 6).ok());  // stream 4 must descend
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {10}));
+  EXPECT_FALSE(AppendKeys(&sink, kStream1, {9}).ok());  // stream 1 ascends
+  EXPECT_FALSE(AppendKeys(&sink, kStream1, {20, 15}).ok());  // in a batch too
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream4, {5}));
+  EXPECT_FALSE(AppendKeys(&sink, kStream4, {6}).ok());  // stream 4 descends
 }
 
 TEST(FileRunSinkTest, WritesSegmentsReadableAsOneAscendingRun) {
@@ -80,10 +80,13 @@ TEST(FileRunSinkTest, WritesSegmentsReadableAsOneAscendingRun) {
   options.reverse.page_bytes = 64;
   FileRunSink sink(&env, "dir", "t", options);
   ASSERT_TWRS_OK(sink.BeginRun());
-  for (Key k : {30, 20, 10}) ASSERT_TWRS_OK(sink.Append(kStream4, k));
-  for (Key k : {40, 45}) ASSERT_TWRS_OK(sink.Append(kStream3, k));
-  for (Key k : {70, 60}) ASSERT_TWRS_OK(sink.Append(kStream2, k));
-  for (Key k : {80, 90}) ASSERT_TWRS_OK(sink.Append(kStream1, k));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream4, {30, 20}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream4, {10}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream3, {40, 45}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream2, {70, 60}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {80}));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {}));  // empty batches are no-ops
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {90}));
   ASSERT_TWRS_OK(sink.EndRun());
   ASSERT_TWRS_OK(sink.Finish());
 
@@ -113,7 +116,7 @@ TEST(FileRunSinkTest, UnusedStreamsProduceNoSegments) {
   MemEnv env;
   FileRunSink sink(&env, "dir", "t");
   ASSERT_TWRS_OK(sink.BeginRun());
-  ASSERT_TWRS_OK(sink.Append(kStream1, 1));
+  ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {1}));
   ASSERT_TWRS_OK(sink.EndRun());
   ASSERT_TWRS_OK(sink.Finish());
   ASSERT_EQ(sink.runs().size(), 1u);
@@ -126,7 +129,7 @@ TEST(FileRunSinkTest, MultipleRunsGetDistinctFiles) {
   FileRunSink sink(&env, "dir", "t");
   for (int r = 0; r < 3; ++r) {
     ASSERT_TWRS_OK(sink.BeginRun());
-    ASSERT_TWRS_OK(sink.Append(kStream1, r));
+    ASSERT_TWRS_OK(AppendKeys(&sink, kStream1, {r}));
     ASSERT_TWRS_OK(sink.EndRun());
   }
   ASSERT_TWRS_OK(sink.Finish());

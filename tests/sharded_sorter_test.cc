@@ -322,6 +322,30 @@ TEST(ShardedSorterTest, PreCancelledSortWritesNothing) {
   EXPECT_EQ(env.FileCount(), 1u);  // the input
 }
 
+// Regression test: a stream that fails mid-way (here a torn input file, 3
+// bytes past the last whole record) used to end the staging pass early,
+// so Sort(RecordSource*) published a sorted prefix and returned OK.
+TEST(ShardedSorterTest, TornInputFailsTheSortAndKeepsTheOutput) {
+  MemEnv env;
+  testing::WriteTornInput(&env, "in");
+  ASSERT_TWRS_OK(WriteAllRecords(&env, "out", {1, 2, 3}));
+  const std::vector<uint8_t> before = *env.FileContents("out");
+  for (const bool stream : {true, false}) {
+    SCOPED_TRACE(stream ? "Sort(RecordSource*)" : "SortFile");
+    ShardedSorter sorter(&env, BaseOptions(2));
+    FileRecordSource source(&env, "in");
+    const Status s = stream ? sorter.Sort(&source, "out", nullptr)
+                            : sorter.SortFile("in", "out", nullptr);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    ASSERT_NE(env.FileContents("out"), nullptr);
+    EXPECT_EQ(*env.FileContents("out"), before);
+    std::vector<std::string> scratch;
+    ASSERT_TWRS_OK(env.ListDir("tmp", &scratch));
+    EXPECT_TRUE(scratch.empty()) << scratch.size();
+    EXPECT_EQ(env.FileCount(), 2u);  // the input and the output
+  }
+}
+
 TEST(ShardedSorterTest, ReportsIoVolumeAcrossAllPasses) {
   MemEnv env;
   WorkloadOptions wl;

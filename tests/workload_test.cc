@@ -153,7 +153,9 @@ TEST(WorkloadTest, FileSourceMissingFile) {
   MemEnv env;
   FileRecordSource source(&env, "missing");
   Key k;
-  EXPECT_FALSE(source.Next(&k));
+  size_t got = 1;
+  EXPECT_FALSE(source.NextBatch(&k, 1, &got).ok());
+  EXPECT_EQ(got, 0u);
   EXPECT_FALSE(source.status().ok());
 }
 
