@@ -111,21 +111,19 @@ Status CollectingRunSink::BeginRun() {
 
 Status CollectingRunSink::AppendBatch(RunStream stream, const Key* keys,
                                       size_t n) {
-  for (size_t i = 0; i < n; ++i) TWRS_RETURN_IF_ERROR(Append(stream, keys[i]));
-  return Status::OK();
-}
-
-Status CollectingRunSink::Append(RunStream stream, Key key) {
   if (!in_run_) return Status::InvalidArgument("Append outside a run");
   std::vector<Key>& s = streams_[stream];
-  if (!s.empty()) {
-    const bool ok = StreamIsReverse(stream) ? key <= s.back() : key >= s.back();
-    if (!ok) {
-      return Status::InvalidArgument(std::string("stream ordering violated: ") +
-                                     StreamSuffix(stream));
+  for (size_t i = 0; i < n; ++i) {
+    if (!s.empty()) {
+      const bool ok = StreamIsReverse(stream) ? keys[i] <= s.back()
+                                              : keys[i] >= s.back();
+      if (!ok) {
+        return Status::InvalidArgument(
+            std::string("stream ordering violated: ") + StreamSuffix(stream));
+      }
     }
+    s.push_back(keys[i]);
   }
-  s.push_back(key);
   return Status::OK();
 }
 

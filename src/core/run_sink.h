@@ -139,9 +139,6 @@ class CollectingRunSink : public RunSink {
   Status EndRun() override;
   Status Finish() override;
 
-  /// Checks and stores one record; AppendBatch calls it for each key.
-  virtual Status Append(RunStream stream, Key key);
-
   /// The assembled runs, each in ascending order.
   const std::vector<std::vector<Key>>& collected() const { return collected_; }
 

@@ -124,9 +124,11 @@ class Engine {
   }
 
   // Relocates a record that its own side's stream cannot emit: into the
-  // victim buffer when it fits the valid range, across to the other heap
-  // when that side's stream still accepts it, or to the next run.
-  Status RouteStray(Key key, HeapSide from) {
+  // victim buffer when it fits the valid range (the record leaves the
+  // heaps: kConsumed), across to the other heap when that side's stream
+  // still accepts it, or to the next run (both kDiverted).
+  Status RouteStray(Key key, HeapSide from, StepResult* result) {
+    *result = StepResult::kConsumed;
     if (victim_.RangeContains(key)) {
       if (victim_.Full()) TWRS_RETURN_IF_ERROR(victim_.FlushActive(&sink_));
       if (victim_.RangeContains(key)) {
@@ -135,6 +137,7 @@ class Engine {
         return Status::OK();
       }
     }
+    *result = StepResult::kDiverted;
     if (from == HeapSide::kBottom && key >= s1_bound_) {
       ++migrated_;
       return Stored(heap_.Push(HeapSide::kTop, key));
@@ -156,24 +159,26 @@ class Engine {
   // bounds — after the sweep both heaps are perfectly range-separated and
   // the run proceeds without stranding records. The emission bounds do not
   // move during the sweep (nothing is emitted), which is what makes every
-  // relocation succeed.
+  // relocation succeed. A stray the victim buffer absorbs has left the
+  // heaps, so the sweep then reads one replacement per absorbed stray, as
+  // the output loop does for every consumed record.
   Status SeparationSweep() {
-    for (;;) {
-      bool progressed = false;
-      while (heap_.HasCurrent(HeapSide::kBottom) &&
-             heap_.Top(HeapSide::kBottom) > s4_bound_) {
-        TWRS_RETURN_IF_ERROR(
-            RouteStray(heap_.Pop(HeapSide::kBottom), HeapSide::kBottom));
-        progressed = true;
+    uint64_t absorbed = 0;
+    StepResult result = StepResult::kDiverted;
+    for (bool progressed = true; progressed;) {
+      progressed = false;
+      for (const HeapSide side : {HeapSide::kBottom, HeapSide::kTop}) {
+        while (heap_.HasCurrent(side) &&
+               (side == HeapSide::kBottom ? heap_.Top(side) > s4_bound_
+                                          : heap_.Top(side) < s1_bound_)) {
+          TWRS_RETURN_IF_ERROR(RouteStray(heap_.Pop(side), side, &result));
+          absorbed += result == StepResult::kConsumed;
+          progressed = true;
+        }
       }
-      while (heap_.HasCurrent(HeapSide::kTop) &&
-             heap_.Top(HeapSide::kTop) < s1_bound_) {
-        TWRS_RETURN_IF_ERROR(
-            RouteStray(heap_.Pop(HeapSide::kTop), HeapSide::kTop));
-        progressed = true;
-      }
-      if (!progressed) return Status::OK();
     }
+    for (; absorbed > 0; --absorbed) TWRS_RETURN_IF_ERROR(ReadAndInsert());
+    return Status::OK();
   }
 
   // Pops one record and routes it: victim buffer (bootstrap or range fit),
@@ -250,9 +255,7 @@ class Engine {
       return Status::OK();
     }
     // The record's own stream can no longer take it (divert rule).
-    TWRS_RETURN_IF_ERROR(RouteStray(key, side));
-    *result = StepResult::kDiverted;
-    return Status::OK();
+    return RouteStray(key, side, result);
   }
 
   Status Emit(RunStream stream, HeapSide side, Key key) {

@@ -1,7 +1,7 @@
 // Write-path fault injection: every write-side Env call a sort makes is
 // failed in turn, on each output path (serial, pooled, partitioned final
-// merge, sharded ranges). Whatever call fails, the sort must report it,
-// leave no scratch file behind and leave no torn output.
+// merge, sharded ranges, distribution sort). Whatever call fails, the sort
+// must report it, leave no scratch file behind and leave no torn output.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "distribution/distribution_sort.h"
 #include "exec/executor.h"
 #include "io/mem_env.h"
 #include "merge/external_sorter.h"
@@ -284,6 +285,18 @@ TEST(WriteFaultInjectionTest, ShardedSortRanges) {
     ShardedSorter sorter(env, options);
     VectorSource source(input);
     return sorter.Sort(&source, kOutput, nullptr);
+  });
+}
+
+TEST(WriteFaultInjectionTest, DistributionSort) {
+  SweepWriteFaults(0, [](Env* env, const std::vector<Key>& input) {
+    DistributionSortOptions options;
+    options.memory_records = 100;  // several distribution levels
+    options.num_buckets = 4;
+    options.temp_dir = "tmp";
+    options.block_bytes = 256;
+    VectorSource source(input);
+    return DistributionSort(env, &source, options, kOutput, nullptr);
   });
 }
 

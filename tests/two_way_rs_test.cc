@@ -208,6 +208,96 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 1, 2),  // input only, both, victim only
                        ::testing::Range(0, kNumDatasets)));
 
+// Heap capacity: 2WRS reads one replacement for every record that leaves
+// the heaps (to a stream or to the victim buffer, including the strays the
+// separation sweep hands to the victim buffer), so every run starts with
+// full heaps while input remains. Observed from outside: the source hands
+// out one record per call, so at a run start the heaps hold the records
+// handed out, minus those appended, minus the input buffer's lookahead
+// (capacity - 1 between reads). The victim buffer is empty there: the
+// previous run's final flush emptied it.
+class OneAtATimeSource : public RecordSource {
+ public:
+  explicit OneAtATimeSource(std::vector<Key> keys) : keys_(std::move(keys)) {}
+
+  Status NextBatch(Key* out, size_t, size_t* got) override {
+    *got = handed_ < keys_.size() ? 1 : 0;
+    if (*got == 1) out[0] = keys_[handed_++];
+    return Status::OK();
+  }
+
+  bool exhausted() const { return handed_ == keys_.size(); }
+  uint64_t handed() const { return handed_; }
+
+ private:
+  std::vector<Key> keys_;
+  uint64_t handed_ = 0;
+};
+
+class RunStartProbe : public CountingRunSink {
+ public:
+  RunStartProbe(const OneAtATimeSource* source, uint64_t lookahead)
+      : source_(source), lookahead_(lookahead) {}
+
+  Status BeginRun() override {
+    if (started_ && !source_->exhausted()) {
+      heap_at_run_start.push_back(source_->handed() - appended_ - lookahead_);
+    }
+    started_ = true;
+    return CountingRunSink::BeginRun();
+  }
+  Status AppendBatch(RunStream stream, const Key* keys, size_t n) override {
+    appended_ += n;
+    return CountingRunSink::AppendBatch(stream, keys, n);
+  }
+
+  std::vector<uint64_t> heap_at_run_start;  ///< runs 2.. with input left
+
+ private:
+  const OneAtATimeSource* source_;
+  uint64_t lookahead_;
+  bool started_ = false;
+  uint64_t appended_ = 0;
+};
+
+// Returns how many run starts (while input remained) found the heaps short.
+size_t ShortRunStarts(InputHeuristic heuristic, Dataset dataset,
+                      size_t memory, uint64_t seed) {
+  WorkloadOptions wl;
+  wl.num_records = 30000;
+  wl.sections = 8;
+  wl.seed = seed;
+  TwoWayOptions options = TwoWayOptions::Recommended(memory, seed);
+  options.input_heuristic = heuristic;
+  OneAtATimeSource source(Drain(MakeWorkload(dataset, wl).get()));
+  const size_t window = options.InputBufferRecords();
+  RunStartProbe sink(&source, window > 0 ? window - 1 : 0);
+  const Status s =
+      TwoWayReplacementSelection(options).Generate(&source, &sink, nullptr);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_GT(sink.heap_at_run_start.size(), 1u);
+  size_t short_starts = 0;
+  for (uint64_t held : sink.heap_at_run_start) {
+    short_starts += held != options.HeapRecords();
+  }
+  return short_starts;
+}
+
+TEST(TwoWayCapacityTest, HeapsAreFullAtEveryRunStartWhileInputRemains) {
+  for (int in = 0; in < kNumInputHeuristics; ++in) {
+    const auto heuristic = static_cast<InputHeuristic>(in);
+    for (const Dataset dataset : {Dataset::kRandom, Dataset::kAlternating}) {
+      for (const size_t memory : {64, 1000, 4096}) {
+        for (const uint64_t seed : {1, 2, 3}) {
+          EXPECT_EQ(ShortRunStarts(heuristic, dataset, memory, seed), 0u)
+              << InputHeuristicName(heuristic) << " " << DatasetName(dataset)
+              << " memory=" << memory << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
 // Golden streams: the exact sequence of (run boundary, RunStream, key) events
 // 2WRS emits, hashed per configuration. The constants pin the algorithm's
 // behaviour, not just its correctness, so a change to the heap layout or
@@ -220,10 +310,12 @@ class HashingRunSink : public CollectingRunSink {
     Feed(kBeginMarker);
     return CollectingRunSink::BeginRun();
   }
-  Status Append(RunStream stream, Key key) override {
-    Feed(static_cast<uint64_t>(stream));
-    Feed(key);
-    return CollectingRunSink::Append(stream, key);
+  Status AppendBatch(RunStream stream, const Key* keys, size_t n) override {
+    for (size_t i = 0; i < n; ++i) {
+      Feed(static_cast<uint64_t>(stream));
+      Feed(keys[i]);
+    }
+    return CollectingRunSink::AppendBatch(stream, keys, n);
   }
   Status EndRun() override {
     Feed(kEndMarker);
@@ -259,14 +351,14 @@ constexpr uint64_t kGoldenHash[kNumDatasets][kGoldenInputHeuristics]
             {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xca48115f0c3837f8ULL},
             {0x844f498d9f98152fULL, 0x1541bb7ecdd0ec70ULL, 0x640e4e0ef3e82c59ULL},
             {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xd254338e0e250f3bULL},
-            {0xb38767b0a8b31c06ULL, 0x83eed6b05961c80fULL, 0x1b0188bc73f85bd8ULL},
+            {0xb38767b0a8b31c06ULL, 0xe9230822e630d491ULL, 0xc52a87fec6ed83feULL},
             {0x0617807839705a74ULL, 0x4b8d53380d4606bfULL, 0xe96e1e9779fe3079ULL},
         },
         {  // Alternate
             {0x707f68d94217e90eULL, 0xd5377b8cda497de2ULL, 0x91036bb05c05f496ULL},
             {0x4c7785a5b1aaba68ULL, 0x930bcd66832bf865ULL, 0xb60e5ea60df53085ULL},
             {0x060007a5876bd77eULL, 0x04ea4307b9c670aeULL, 0xea9678745c30ea89ULL},
-            {0x3bedd0697d3e1ba5ULL, 0x53a1a495079be50aULL, 0x1693a241776648d2ULL},
+            {0x3bedd0697d3e1ba5ULL, 0xf7e0981b4124bd7fULL, 0xec21ee6f3c67025bULL},
             {0x2056fdc65d42781cULL, 0x8485546db2e01825ULL, 0x7fc54f460c6a967aULL},
         },
         {  // Mean
@@ -287,7 +379,7 @@ constexpr uint64_t kGoldenHash[kNumDatasets][kGoldenInputHeuristics]
             {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xca48115f0c3837f8ULL},
             {0x844f498d9f98152fULL, 0x1541bb7ecdd0ec70ULL, 0x640e4e0ef3e82c59ULL},
             {0x2fa986e8cb55829fULL, 0x4b8d53380d4606bfULL, 0xd254338e0e250f3bULL},
-            {0xb38767b0a8b31c06ULL, 0x83eed6b05961c80fULL, 0x1b0188bc73f85bd8ULL},
+            {0xb38767b0a8b31c06ULL, 0xe9230822e630d491ULL, 0xc52a87fec6ed83feULL},
             {0x0617807839705a74ULL, 0x4b8d53380d4606bfULL, 0xe96e1e9779fe3079ULL},
         },
     },
@@ -303,7 +395,7 @@ constexpr uint64_t kGoldenHash[kNumDatasets][kGoldenInputHeuristics]
             {0x8900d9be9a93e57eULL, 0x51f467f5b4afbbadULL, 0xd73a1239af689b4aULL},
             {0x8900d9be9a93e57eULL, 0x54369222669b7a6eULL, 0x7422069471ee8688ULL},
             {0x8900d9be9a93e57eULL, 0x06b5339753ed35ddULL, 0x5a0a29636a3c5ff0ULL},
-            {0x8900d9be9a93e57eULL, 0xa02bfe5b2c5dc13bULL, 0x92089a50ad980ee6ULL},
+            {0x8900d9be9a93e57eULL, 0x6e8b6d1055dcf863ULL, 0xf36330c916081d5dULL},
             {0x8900d9be9a93e57eULL, 0x7bd4702ee245864dULL, 0x98705a489d954125ULL},
         },
         {  // Mean
@@ -330,84 +422,84 @@ constexpr uint64_t kGoldenHash[kNumDatasets][kGoldenInputHeuristics]
     },
     {  // alternating
         {  // Random
-            {0x3c32d169efb27ff1ULL, 0x694aece6dcae4b0fULL, 0x954c04f6ac30e8e7ULL},
-            {0x74c2ceb32711a35cULL, 0x8735821723ad3aadULL, 0x6f053f0a764e56e3ULL},
-            {0xc92b62ad65686c17ULL, 0x01736785fc1c414eULL, 0xd4e27c3b418345c7ULL},
-            {0x85659aedd3924134ULL, 0x124eff3902d01804ULL, 0x95c747cf3822fc76ULL},
-            {0x93dfd146410fc84fULL, 0x9960e37bc9505f24ULL, 0x8078a9a36a7b048dULL},
+            {0x3c32d169efb27ff1ULL, 0xa800e90250817a45ULL, 0x2cfe8f00b45f55caULL},
+            {0x74c2ceb32711a35cULL, 0x6d1b28fa059d57b2ULL, 0x3686d67dfd80bc7fULL},
+            {0xc92b62ad65686c17ULL, 0xcef6a88ffe56e2ceULL, 0x2eaac5f94f72bd92ULL},
+            {0x85659aedd3924134ULL, 0x988a78f5d4eab30aULL, 0x710bb9cfdb6f6a89ULL},
+            {0x93dfd146410fc84fULL, 0x63b182075ff4f023ULL, 0xe2aaed010371b40dULL},
         },
         {  // Alternate
-            {0xab4b6f547fda474bULL, 0x06e622e36c61a1f3ULL, 0x3e6259fe9e9459a0ULL},
-            {0x83a13331d069dc46ULL, 0x41d0c3cebe1b6527ULL, 0x3f3eac72b4477871ULL},
-            {0x5bae51509de8d24aULL, 0x18ff51f1f6a6dc11ULL, 0xddb65b9823d395fbULL},
-            {0x5f46caf150affca7ULL, 0x0dd3e055772ebde2ULL, 0x4ebe3f446c23aba1ULL},
-            {0xb089363518900aacULL, 0xf8dc7aa567e91035ULL, 0x3f8496e00f42c3d1ULL},
+            {0xab4b6f547fda474bULL, 0x9c6dd32fd740c9c5ULL, 0x2e264ca321dead4bULL},
+            {0x83a13331d069dc46ULL, 0x6ad687606eb99e2cULL, 0xbedb2942cf5c5873ULL},
+            {0x5bae51509de8d24aULL, 0xfa9fba92f8d8f38aULL, 0x34d32e3c24da1038ULL},
+            {0x5f46caf150affca7ULL, 0xcb8df4fda4fa9f3aULL, 0x47a75b1565427633ULL},
+            {0xb089363518900aacULL, 0x09a7f42e85f89056ULL, 0x0b3df875267f4db7ULL},
         },
         {  // Mean
-            {0x93fd6b41e1eb24f3ULL, 0xae79a6632605ab5bULL, 0x420a73ab59b14931ULL},
-            {0xfb246a1d34dce2dcULL, 0x4e069d6057048d3aULL, 0x4bd5d63a426f5967ULL},
-            {0x236410512f3f3cb9ULL, 0xe108ced4ff63856aULL, 0x1043dfd695fdf0f4ULL},
-            {0x720b6d7939fcbd5dULL, 0x08680280e1afdaadULL, 0xe142e803a8947991ULL},
-            {0x91d136d55c469735ULL, 0xb5ffdf21e2458c0cULL, 0xf822a032742988bdULL},
+            {0x93fd6b41e1eb24f3ULL, 0x1df0640e0cad936cULL, 0xf6ad9ba82a204ffaULL},
+            {0xfb246a1d34dce2dcULL, 0xc9654b4823f4b92bULL, 0x62634c02df1f9ab3ULL},
+            {0x236410512f3f3cb9ULL, 0x8179bb40adcb3d92ULL, 0x8cafe56a65e8f324ULL},
+            {0x720b6d7939fcbd5dULL, 0xdcf532054ad91fb2ULL, 0x96967564ec331bc7ULL},
+            {0x91d136d55c469735ULL, 0xf380d6c20b7d36e7ULL, 0x506d2b5b435b0d83ULL},
         },
         {  // Median
-            {0x13a7ecc5d0f64a56ULL, 0x1ee2dcccd24d9192ULL, 0x7d72a4281d30d3e1ULL},
-            {0xd4c21155ac080337ULL, 0x7f213c5cf595f544ULL, 0x38e1e63f7c16e2b0ULL},
-            {0xb8aca3e9d3a52cc2ULL, 0x3d0db3b7e4b20d70ULL, 0x81a5cd2f17238a8bULL},
-            {0x699d3f5e95ddeb01ULL, 0xe83a6bb1242a5560ULL, 0x28476fe2133c073aULL},
-            {0xdd94b90a4c8fd735ULL, 0xd34b1e6b9d58108fULL, 0xf67465d730e60e2fULL},
+            {0x13a7ecc5d0f64a56ULL, 0xc5ef71c019514b37ULL, 0xc3a363da421ba6b7ULL},
+            {0xd4c21155ac080337ULL, 0xae646c29adfac0cfULL, 0x39ebeb31bfccbd98ULL},
+            {0xb8aca3e9d3a52cc2ULL, 0x49abd96ffaac8f22ULL, 0x0d9fd021dac0fd36ULL},
+            {0x699d3f5e95ddeb01ULL, 0xb4d729434e99ce18ULL, 0xe2f782b163711308ULL},
+            {0xdd94b90a4c8fd735ULL, 0xa0a1b97dc7014b18ULL, 0x3f45c3eed86cc50eULL},
         },
         {  // Useful
-            {0x7be003a91d384c81ULL, 0x07172d58c867fd67ULL, 0x9b632e4043fa0bb6ULL},
-            {0xc10ec34f68c52b4eULL, 0x349a3df3bc7834ecULL, 0x95cbca2e229fd4daULL},
-            {0x3f51ddc5f2c1f161ULL, 0x9f478e9cf282d038ULL, 0x765d33a6b03edd47ULL},
-            {0xabb27c787cc69440ULL, 0xa888c5e28f3baed5ULL, 0xc66410db98e3f1e3ULL},
-            {0xeb3c5793cddd8c22ULL, 0xbfeec4bd82c5d395ULL, 0x6310040c81b99376ULL},
+            {0x7be003a91d384c81ULL, 0xc2cd9bde44d742dcULL, 0xc60a062cc8bdc1c9ULL},
+            {0xc10ec34f68c52b4eULL, 0xe6e3262355393064ULL, 0x8364412e7e9c9060ULL},
+            {0x3f51ddc5f2c1f161ULL, 0xc5d5435ff28af2acULL, 0x7994d2be12f77520ULL},
+            {0xabb27c787cc69440ULL, 0x661908354edd24e0ULL, 0xb7032395b4fe0cccULL},
+            {0xeb3c5793cddd8c22ULL, 0x6e79d30047cf1087ULL, 0xde28740035a5feb3ULL},
         },
     },
     {  // random
         {  // Random
-            {0xbbbae4296b6c4b69ULL, 0x5667d88a48b6a905ULL, 0xaab69b8406a1f95eULL},
-            {0x9519559995f04767ULL, 0x57a846f59bfd21ffULL, 0x2952909de35347d9ULL},
-            {0xada693c9a1474d6cULL, 0x6d090cde6fefd025ULL, 0x7b6490ca021abb60ULL},
-            {0x57579cd9fb9d6c6bULL, 0x2699a32ada7da0d3ULL, 0xb18e50c518b483dcULL},
-            {0x0797526e75be8284ULL, 0x3177d283feee4781ULL, 0x034b4c5e5041e081ULL},
+            {0xbbbae4296b6c4b69ULL, 0xd8dc6f1d093f2d4dULL, 0xc052c0f372aea9c3ULL},
+            {0x9519559995f04767ULL, 0x00386c25febd0110ULL, 0xb2da6e1fc42676d7ULL},
+            {0xada693c9a1474d6cULL, 0x338b9d744678c0c8ULL, 0xfd377ddb8eabb916ULL},
+            {0x57579cd9fb9d6c6bULL, 0x3ad5154295cee0e3ULL, 0xe360473c3b84e788ULL},
+            {0x0797526e75be8284ULL, 0x2ae1f8389db60db8ULL, 0x3aff4a13da3f8f77ULL},
         },
         {  // Alternate
-            {0x99dfb479847a7403ULL, 0x240831d024537f8eULL, 0x0266d748e7b6751aULL},
-            {0xa94fe5922202e7ecULL, 0xb76f5024adfa6e25ULL, 0xa6c47f8f865b48deULL},
-            {0xb33deda2aa87def2ULL, 0x487ba5239884cb29ULL, 0xc1ccfb001568a314ULL},
-            {0x7cc9a339bd71ba72ULL, 0x53122ba91249cd13ULL, 0xc9753a4df1ede03cULL},
-            {0xd2a907a1d9721cb7ULL, 0xe7fc1af0f12ad7eeULL, 0x29596ef9436a500dULL},
+            {0x99dfb479847a7403ULL, 0x43f826629d2fffbbULL, 0xc259df911a149440ULL},
+            {0xa94fe5922202e7ecULL, 0xcf855af17e78c3a3ULL, 0x2cb23649a2a79b28ULL},
+            {0xb33deda2aa87def2ULL, 0x8f294eb0bef17b44ULL, 0xe7fcf0f62dfb86efULL},
+            {0x7cc9a339bd71ba72ULL, 0xc35330e0191c9378ULL, 0x05e15ef38282f478ULL},
+            {0xd2a907a1d9721cb7ULL, 0xaaa76540fd5b8093ULL, 0x42445bfbd57b8d48ULL},
         },
         {  // Mean
-            {0x7fb0bb61cb3058d8ULL, 0xf0af47e1d839f2e3ULL, 0x83bb5ed30d79b590ULL},
-            {0xe3ba0340b86ab54dULL, 0x2e9947358dbb10efULL, 0xd77209ce40460861ULL},
-            {0x4bbc4aff01b8fbb6ULL, 0x82a8bb598ac9a05dULL, 0x7cfcd686ba5df917ULL},
-            {0x3da5028f7fcc8e78ULL, 0xcd2753fa2255eca0ULL, 0x0b402253293ab5a6ULL},
-            {0xb78253b1acf25634ULL, 0xb27a1809af219d16ULL, 0xa826f6cf01a867f1ULL},
+            {0x7fb0bb61cb3058d8ULL, 0x3168acaca7a8e7d3ULL, 0x106803c25422927aULL},
+            {0xe3ba0340b86ab54dULL, 0x380879c4841b215fULL, 0x29687e689d4def7aULL},
+            {0x4bbc4aff01b8fbb6ULL, 0x85c633355d58c717ULL, 0xe852b170f6c615f7ULL},
+            {0x3da5028f7fcc8e78ULL, 0x340d0b5884f9efc0ULL, 0xe60ec1d2110c5682ULL},
+            {0xb78253b1acf25634ULL, 0xe78e2cd254a50d08ULL, 0x78f1d4dcfe20bea1ULL},
         },
         {  // Median
-            {0xbd8a1307c5bd752fULL, 0x41e8453f4f22abc3ULL, 0x57da934c7111098dULL},
-            {0x26278f44dfdd562eULL, 0x27b92adbd16bc1a9ULL, 0xd205484fd97101feULL},
-            {0x9b79b939344bc9f3ULL, 0x276468e439a0837dULL, 0x55a233065aee71ffULL},
-            {0xa4be2ebaf193c94fULL, 0xad0f7653a4789cedULL, 0xf6d7b37894bfdf1fULL},
-            {0x9fc06b27d7e44f68ULL, 0xb05792dc7b6142abULL, 0xa5a4cf0649e7ddb8ULL},
+            {0xbd8a1307c5bd752fULL, 0xd92795f5484e093aULL, 0xe830d0d3a2bf7d1fULL},
+            {0x26278f44dfdd562eULL, 0x7a27d1793e5a39bdULL, 0xe9087ce985815e37ULL},
+            {0x9b79b939344bc9f3ULL, 0xbed5e653c0f0729dULL, 0xd950f002cee8bc83ULL},
+            {0xa4be2ebaf193c94fULL, 0x21f07f3a1933c0beULL, 0x844090e22c0522e9ULL},
+            {0x9fc06b27d7e44f68ULL, 0x593ca5ef39ea26f2ULL, 0x36c20f99682bae18ULL},
         },
         {  // Useful
-            {0xda9738868d789d10ULL, 0x9528c306633ebb7fULL, 0x1b54e7e8106432a1ULL},
-            {0x96344e961e8621acULL, 0x63e0d0cd5e73da76ULL, 0x8e4c97abd966239eULL},
-            {0xe6bf00e2e39a4fdaULL, 0xd0fce7674a39c6acULL, 0x4ee3fd58f1fcf318ULL},
-            {0x910b0f02f3328035ULL, 0xe80df54e9e1c479dULL, 0xb22d4dff0fd37410ULL},
-            {0x1eb7634cb8ee79b4ULL, 0x66c3e3ed5b3a106cULL, 0xf8b8b7a9a50200b1ULL},
+            {0xda9738868d789d10ULL, 0xbcc17a1bb7cf14d8ULL, 0x445770714293bef8ULL},
+            {0x96344e961e8621acULL, 0xee2dacce6f16ba07ULL, 0x6a3e224867afb030ULL},
+            {0xe6bf00e2e39a4fdaULL, 0xd700bcea217e9b2cULL, 0x308af111b700549eULL},
+            {0x910b0f02f3328035ULL, 0x8ec0c2a0d7a70302ULL, 0x35af8396f850c60bULL},
+            {0x1eb7634cb8ee79b4ULL, 0xb1925d2ac818d2caULL, 0xdd091e9cb1ec1328ULL},
         },
     },
     {  // mixed
         {  // Random
-            {0x883c723cdf0b4306ULL, 0x582a97edda348865ULL, 0x38196b57e56664ddULL},
+            {0x883c723cdf0b4306ULL, 0xac09cdc0b930296bULL, 0x49b826a17fe4384bULL},
             {0x0297200590e6955eULL, 0xd4c6d2e5a18e4ddbULL, 0x9820e040f83bc791ULL},
-            {0x04bbe0f12dca1b8cULL, 0x338aebe7e06d0941ULL, 0xcb264800a8f0207cULL},
-            {0x8ede11b14dafc03eULL, 0x08b583196d37babeULL, 0xa85cf3800a3e9d58ULL},
+            {0x04bbe0f12dca1b8cULL, 0xfcd0445706ddd5adULL, 0x804a5e4d1081e275ULL},
+            {0x8ede11b14dafc03eULL, 0x65dd3030ba42437eULL, 0xfe4bea0a097efdbdULL},
             {0x4a827d027e74e215ULL, 0x2f337e995cdfdef4ULL, 0xe15c1127af0e7369ULL},
         },
         {  // Alternate
@@ -432,27 +524,27 @@ constexpr uint64_t kGoldenHash[kNumDatasets][kGoldenInputHeuristics]
             {0xd80ecb8f0fb7ba89ULL, 0x94242e085e34163dULL, 0x626f45eca49ca0ceULL},
         },
         {  // Useful
-            {0x883c723cdf0b4306ULL, 0x582a97edda348865ULL, 0x38196b57e56664ddULL},
+            {0x883c723cdf0b4306ULL, 0xac09cdc0b930296bULL, 0x49b826a17fe4384bULL},
             {0x0297200590e6955eULL, 0xd4c6d2e5a18e4ddbULL, 0x9820e040f83bc791ULL},
-            {0x04bbe0f12dca1b8cULL, 0x338aebe7e06d0941ULL, 0xcb264800a8f0207cULL},
-            {0x8ede11b14dafc03eULL, 0x08b583196d37babeULL, 0xa85cf3800a3e9d58ULL},
+            {0x04bbe0f12dca1b8cULL, 0xfcd0445706ddd5adULL, 0x804a5e4d1081e275ULL},
+            {0x8ede11b14dafc03eULL, 0x65dd3030ba42437eULL, 0xfe4bea0a097efdbdULL},
             {0x4a827d027e74e215ULL, 0x2f337e995cdfdef4ULL, 0xe15c1127af0e7369ULL},
         },
     },
     {  // mixed-imbalanced
         {  // Random
-            {0xb3034f11c275c0afULL, 0x1b188211e3bc2fdcULL, 0xa0711ae27fb96135ULL},
-            {0x25e707ffd002d9b9ULL, 0x001fd510fc2ba436ULL, 0xec0ecfb6f3d9c0ebULL},
-            {0x947da594f7fd8db9ULL, 0x7f4867cfc832ee8cULL, 0x3636c261e74043f5ULL},
-            {0xfd6d6994c4c99a0cULL, 0x71f94355dbda7c99ULL, 0xe7590bdf7c2a8453ULL},
-            {0x988a1f3e44a3916bULL, 0xeba6ffc855155ddaULL, 0x14161df955fc1878ULL},
+            {0xb3034f11c275c0afULL, 0x8934c106c993898dULL, 0x84936b8c2f8c833fULL},
+            {0x25e707ffd002d9b9ULL, 0xe69edfaba0915f31ULL, 0x01fa43a8be3a0944ULL},
+            {0x947da594f7fd8db9ULL, 0xbc96ead128440c15ULL, 0x0d3549fd0ebf71b7ULL},
+            {0xfd6d6994c4c99a0cULL, 0x537aa92792ea0f70ULL, 0xbdfe3cf4305bee5eULL},
+            {0x988a1f3e44a3916bULL, 0xddbc673ef3037c88ULL, 0xd8ad33559c9d86e9ULL},
         },
         {  // Alternate
-            {0xe81e05a9109ef4f5ULL, 0xf5f8ee75fae5eae3ULL, 0x94c423e1f7947656ULL},
-            {0x13bce2428c6afaeaULL, 0xf3e24d74d32931efULL, 0x66192bd9958935daULL},
-            {0xcf1a80494cb41da7ULL, 0x63f25cc1eadc93d0ULL, 0x3fb996da2d30c186ULL},
-            {0x8b87bc231e558a56ULL, 0x559ad643b1945700ULL, 0x4659d8c89652e2e3ULL},
-            {0xf8ccfaa274e8d156ULL, 0xb8082400521fa909ULL, 0x9b05c1cbf420d6f6ULL},
+            {0xe81e05a9109ef4f5ULL, 0x31def04fa61f4550ULL, 0xffbd407cb3ecb091ULL},
+            {0x13bce2428c6afaeaULL, 0x9e7eec7e02d7314cULL, 0xa9e1ad802e18bad8ULL},
+            {0xcf1a80494cb41da7ULL, 0x95d4ef12d187fe0bULL, 0xc769c778f7500b23ULL},
+            {0x8b87bc231e558a56ULL, 0xfad5c84a261738d4ULL, 0xef50b718578746a4ULL},
+            {0xf8ccfaa274e8d156ULL, 0x328c0b1e424f3037ULL, 0xbb04ebde3c0f43d2ULL},
         },
         {  // Mean
             {0xd80183ad2e2fbcf8ULL, 0x110c7167d4a8bee0ULL, 0x5aa663c78c96d5a8ULL},
@@ -469,11 +561,11 @@ constexpr uint64_t kGoldenHash[kNumDatasets][kGoldenInputHeuristics]
             {0xf8ccfaa274e8d156ULL, 0x39bf1abcd00a76fdULL, 0x32fd36fe3ed3c638ULL},
         },
         {  // Useful
-            {0xb3034f11c275c0afULL, 0x1b188211e3bc2fdcULL, 0xa0711ae27fb96135ULL},
-            {0x25e707ffd002d9b9ULL, 0x001fd510fc2ba436ULL, 0xec0ecfb6f3d9c0ebULL},
-            {0x947da594f7fd8db9ULL, 0x7f4867cfc832ee8cULL, 0x3636c261e74043f5ULL},
-            {0xfd6d6994c4c99a0cULL, 0x71f94355dbda7c99ULL, 0xe7590bdf7c2a8453ULL},
-            {0x988a1f3e44a3916bULL, 0xeba6ffc855155ddaULL, 0x14161df955fc1878ULL},
+            {0xb3034f11c275c0afULL, 0x8934c106c993898dULL, 0x84936b8c2f8c833fULL},
+            {0x25e707ffd002d9b9ULL, 0xe69edfaba0915f31ULL, 0x01fa43a8be3a0944ULL},
+            {0x947da594f7fd8db9ULL, 0xbc96ead128440c15ULL, 0x0d3549fd0ebf71b7ULL},
+            {0xfd6d6994c4c99a0cULL, 0x537aa92792ea0f70ULL, 0xbdfe3cf4305bee5eULL},
+            {0x988a1f3e44a3916bULL, 0xddbc673ef3037c88ULL, 0xd8ad33559c9d86e9ULL},
         },
     },
 };
@@ -497,18 +589,18 @@ constexpr uint64_t kBalancingRuns[kNumDatasets][kNumOutputHeuristics]
         {1, 1, 1},  // MinDistance
     },
     {  // alternating
-        {50, 29, 7},  // Random
+        {50, 27, 7},  // Random
         {50, 27, 7},  // Alternate
-        {50, 27, 8},  // Useful
+        {50, 26, 8},  // Useful
         {50, 28, 8},  // Balancing
-        {50, 29, 7},  // MinDistance
+        {50, 28, 7},  // MinDistance
     },
     {  // random
-        {454, 36, 9},  // Random
-        {398, 37, 9},  // Alternate
-        {438, 34, 9},  // Useful
-        {430, 32, 8},  // Balancing
-        {447, 34, 9},  // MinDistance
+        {454, 32, 9},  // Random
+        {398, 33, 9},  // Alternate
+        {438, 31, 8},  // Useful
+        {430, 29, 8},  // Balancing
+        {447, 31, 9},  // MinDistance
     },
     {  // mixed
         {1, 1, 1},  // Random
