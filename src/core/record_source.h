@@ -91,9 +91,6 @@ class VectorSource : public RecordSource {
     return Status::OK();
   }
 
-  /// Rewinds to the beginning.
-  void Reset() { pos_ = 0; }
-
  private:
   std::vector<Key> keys_;
   size_t pos_ = 0;
