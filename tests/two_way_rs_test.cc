@@ -687,5 +687,62 @@ TEST_P(TwoWayGoldenTest, BalancingConservesRecordsAndRunCounts) {
 INSTANTIATE_TEST_SUITE_P(AllDatasets, TwoWayGoldenTest,
                          ::testing::Range(0, kNumDatasets));
 
+// Golden streams at a memory 16x the largest above: each side's heap holds
+// tens of thousands of keys, far beyond any cache, so a change to how
+// DoubleHeap stores a large heap is pinned too. Each entry runs
+// kLargeGoldenRecords records at kLargeGoldenMemory.
+constexpr size_t kLargeGoldenMemory = 65536;
+constexpr uint64_t kLargeGoldenRecords = 300000;
+
+struct LargeGolden {
+  Dataset dataset;
+  InputHeuristic in;
+  OutputHeuristic out;
+  uint64_t hash;
+};
+
+constexpr LargeGolden kLargeGoldens[] = {
+    {Dataset::kRandom, InputHeuristic::kMean, OutputHeuristic::kRandom,
+     0xc7465a82edbee59cULL},
+    {Dataset::kRandom, InputHeuristic::kMean, OutputHeuristic::kMinDistance,
+     0x743596b92282d3c7ULL},
+    {Dataset::kRandom, InputHeuristic::kRandom, OutputHeuristic::kRandom,
+     0xd39104b0f6a5572cULL},
+    {Dataset::kRandom, InputHeuristic::kRandom, OutputHeuristic::kMinDistance,
+     0x21e5f6da4000981aULL},
+    {Dataset::kAlternating, InputHeuristic::kMean, OutputHeuristic::kRandom,
+     0x7a9947bcbde45b2fULL},
+    {Dataset::kAlternating, InputHeuristic::kMean,
+     OutputHeuristic::kMinDistance, 0xff6defc491e880f9ULL},
+    {Dataset::kAlternating, InputHeuristic::kRandom, OutputHeuristic::kRandom,
+     0x4f7b99aca54f950cULL},
+    {Dataset::kAlternating, InputHeuristic::kRandom,
+     OutputHeuristic::kMinDistance, 0x70ce13d06d399248ULL},
+    {Dataset::kMixed, InputHeuristic::kMean, OutputHeuristic::kRandom,
+     0x3315b44be0115a12ULL},
+    {Dataset::kMixed, InputHeuristic::kMean, OutputHeuristic::kMinDistance,
+     0x148f75f38d8d623fULL},
+    {Dataset::kMixed, InputHeuristic::kRandom, OutputHeuristic::kRandom,
+     0x1d81405b42228b35ULL},
+    {Dataset::kMixed, InputHeuristic::kRandom, OutputHeuristic::kMinDistance,
+     0x64ee0ae172929517ULL},
+};
+
+TEST(TwoWayLargeGoldenTest, StreamsMatchRecordedHashes) {
+  WorkloadOptions wl;
+  wl.num_records = kLargeGoldenRecords;
+  wl.seed = 1;
+  for (const LargeGolden& g : kLargeGoldens) {
+    SCOPED_TRACE(::testing::Message()
+                 << DatasetName(g.dataset) << " in="
+                 << InputHeuristicName(g.in)
+                 << " out=" << OutputHeuristicName(g.out));
+    const std::vector<Key> input = Drain(MakeWorkload(g.dataset, wl).get());
+    const GoldenResult got = RunGolden(input, g.in, g.out, kLargeGoldenMemory);
+    ExpectValidRuns(got.runs, input);
+    EXPECT_EQ(got.hash, g.hash);
+  }
+}
+
 }  // namespace
 }  // namespace twrs
