@@ -390,13 +390,16 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(r.merge.records_pruned));
       }
     }
-    printf("%s: %llu records, %llu runs (avg %.2fx memory), "
-           "gen %.3fs + merge %.3fs = %.3fs\n",
-           twrs::RunGenAlgorithmName(options.algorithm),
-           static_cast<unsigned long long>(r.output_records),
-           static_cast<unsigned long long>(r.run_gen.num_runs()),
-           r.run_gen.AverageRunLengthRelative(options.memory_records),
-           r.run_gen_seconds, r.merge_seconds, r.total_seconds);
+    // A dual-heap selection generates no runs: there is nothing to report.
+    if (r.topk_strategy != twrs::TopKStrategy::kDualHeap) {
+      printf("%s: %llu records, %llu runs (avg %.2fx memory), "
+             "gen %.3fs + merge %.3fs = %.3fs\n",
+             twrs::RunGenAlgorithmName(options.algorithm),
+             static_cast<unsigned long long>(r.output_records),
+             static_cast<unsigned long long>(r.run_gen.num_runs()),
+             r.run_gen.AverageRunLengthRelative(options.memory_records),
+             r.run_gen_seconds, r.merge_seconds, r.total_seconds);
+    }
   }
   if (verify) {
     uint64_t count = 0;

@@ -45,15 +45,20 @@ void MedianTracker::Rebalance() {
 
 InputBuffer::InputBuffer(RecordSource* source, size_t capacity,
                          bool track_median)
-    : source_(source), capacity_(capacity), track_median_(track_median) {}
+    : source_(source),
+      capacity_(capacity),
+      track_median_(track_median),
+      ring_(capacity) {}
 
 Status InputBuffer::Refill() {
   Key key;
   bool eof = false;
-  while (fifo_.size() < capacity_) {
+  while (count_ < capacity_) {
     TWRS_RETURN_IF_ERROR(source_.Next(&key, &eof));
     if (eof) break;
-    fifo_.push_back(key);
+    const size_t tail = head_ + count_;
+    ring_[tail < capacity_ ? tail : tail - capacity_] = key;
+    ++count_;
     if (track_median_) median_.Insert(key);
     sum_ += static_cast<double>(key);
   }
@@ -66,14 +71,15 @@ Status InputBuffer::Next(Key* key, bool* eof) {
     return source_.Next(key, eof);
   }
   TWRS_RETURN_IF_ERROR(Refill());
-  *eof = fifo_.empty();
+  *eof = count_ == 0;
   if (*eof) return Status::OK();
   // Snapshot statistics over the full window, head included (§4.5 example).
-  stats_size_ = fifo_.size();
-  stats_mean_ = sum_ / static_cast<double>(fifo_.size());
+  stats_size_ = count_;
+  stats_mean_ = sum_ / static_cast<double>(count_);
   if (track_median_) stats_median_ = median_.Median();
-  *key = fifo_.front();
-  fifo_.pop_front();
+  *key = ring_[head_];
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+  --count_;
   if (track_median_) median_.Erase(*key);
   sum_ -= static_cast<double>(*key);
   return Status::OK();

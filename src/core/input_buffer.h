@@ -2,8 +2,8 @@
 #define TWRS_CORE_INPUT_BUFFER_H_
 
 #include <cstddef>
-#include <deque>
 #include <set>
+#include <vector>
 
 #include "core/record.h"
 #include "core/record_source.h"
@@ -42,8 +42,10 @@ class MedianTracker {
 /// record just handed out (the buffer is refilled, the snapshot is taken,
 /// then the head is popped).
 ///
-/// With capacity 0 the buffer is a pass-through and HasStats() is false;
-/// heuristics fall back to running statistics over the whole input seen.
+/// The window is a ring of `capacity` keys allocated once, so moving a
+/// record through it makes no allocator call. With capacity 0 the buffer is a
+/// pass-through and HasStats() is false; heuristics fall back to running
+/// statistics over the whole input seen.
 class InputBuffer {
  public:
   /// Does not take ownership of `source`. `track_median` enables the
@@ -72,10 +74,10 @@ class InputBuffer {
   /// lookahead). Combined with the consumer's own running totals this
   /// yields a mean estimate over everything seen so far plus the window.
   double WindowSum() const { return sum_; }
-  size_t WindowSize() const { return fifo_.size(); }
+  size_t WindowSize() const { return count_; }
 
   size_t capacity() const { return capacity_; }
-  size_t size() const { return fifo_.size(); }
+  size_t size() const { return count_; }
 
  private:
   Status Refill();
@@ -83,7 +85,10 @@ class InputBuffer {
   RecordCursor source_;
   size_t capacity_;
   bool track_median_;
-  std::deque<Key> fifo_;
+  // The window: count_ keys from ring_[head_], wrapping at capacity_.
+  std::vector<Key> ring_;
+  size_t head_ = 0;
+  size_t count_ = 0;
   MedianTracker median_;
   double sum_ = 0.0;
 

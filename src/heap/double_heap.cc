@@ -2,35 +2,52 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <functional>
+#include <utility>
+
+#include "simd/kernels.h"
 
 namespace twrs {
 
 namespace {
 
-// Calls `f` with the std heap ordering of `side`. The std heap algorithms
-// keep the greatest element under the ordering at the root, so std::less
-// gives the Bottom side's max-heap and std::greater the Top side's min-heap.
-template <typename F>
-decltype(auto) WithOrder(HeapSide side, F&& f) {
-  return side == HeapSide::kBottom ? f(std::less<Key>())
-                                   : f(std::greater<Key>());
-}
+// Each side is a min-queue; the std heap algorithms keep the greatest
+// element under their ordering at the root, so they take std::greater.
+using MinFirst = std::greater<Key>;
 
-// Stores `key` at the root of heap[0, n) and sifts it down into place.
-template <typename Less>
-void SiftDownFromRoot(Key* heap, size_t n, Key key, Less less) {
+// More sequences than this make a spill merge one more regardless of size,
+// bounding the heads Pop() compares.
+constexpr size_t kMaxSequences = 16;
+
+// Stores `key` at the root of the min-heap heap[0, n) and sifts it down.
+void SiftDownFromRoot(Key* heap, size_t n, Key key) {
   size_t hole = 0;
   for (;;) {
     size_t child = 2 * hole + 1;
     if (child >= n) break;
-    if (child + 1 < n && less(heap[child], heap[child + 1])) ++child;
-    if (!less(key, heap[child])) break;
+    if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+    if (!(heap[child] < key)) break;
     heap[hole] = heap[child];
     hole = child;
   }
   heap[hole] = key;
+}
+
+// Merges the ascending ranges a[0, na) and b[0, nb) into out. The loop
+// picks each output with a compare and two conditional increments instead
+// of a data-dependent branch.
+void MergeAscending(const Key* a, size_t na, const Key* b, size_t nb,
+                    Key* out) {
+  const Key* const a_end = a + na;
+  const Key* const b_end = b + nb;
+  while (a != a_end && b != b_end) {
+    const bool take_b = *b < *a;
+    *out++ = take_b ? *b : *a;
+    a += !take_b;
+    b += take_b;
+  }
+  out = std::copy(a, a_end, out);
+  std::copy(b, b_end, out);
 }
 
 }  // namespace
@@ -40,78 +57,169 @@ const char* HeapSideName(HeapSide side) {
 }
 
 DoubleHeap::DoubleHeap(size_t capacity) : capacity_(capacity) {
-  for (Side& s : sides_) s.keys.resize(capacity);
+  for (Side& s : sides_) s.ins.reserve(std::min(capacity, kInsertionBound));
+}
+
+void DoubleHeap::Side::Insert(Key key) {
+  if (ins.size() == kInsertionBound) Spill();
+  ins.push_back(key);
+  std::push_heap(ins.begin(), ins.end(), MinFirst());
+  if (current++ == 0 || key < min) min = key;
+}
+
+Key DoubleHeap::Side::PopMin() {
+  const Key key = min;
+  --current;
+  if (MinInInsertionHeap()) {
+    std::pop_heap(ins.begin(), ins.end(), MinFirst());
+    ins.pop_back();
+  } else {
+    DropSequenceHead();
+  }
+  FindMin();
+  return key;
+}
+
+// Drops the best sequence's head without touching `current` or `min`.
+void DoubleHeap::Side::DropSequenceHead() {
+  Sequence& seq = seqs[best];
+  if (++seq.head == seq.keys.size()) seqs.erase(seqs.begin() + best);
+  FindBest();
+}
+
+// Sorts the full insertion heap into a new sequence and merges it into the
+// newest ones while their remainders are at most twice its size.
+void DoubleHeap::Side::Spill() {
+  simd::SortKeysBlock(ins.data(), ins.size());
+  PageVector<Key> run;
+  run.swap(ins);
+  ins.reserve(kInsertionBound);
+  while (!seqs.empty() && (seqs.back().size() <= 2 * run.size() ||
+                           seqs.size() >= kMaxSequences)) {
+    const Sequence& newest = seqs.back();
+    PageVector<Key> merged(newest.size() + run.size());
+    MergeAscending(newest.keys.data() + newest.head, newest.size(),
+                   run.data(), run.size(), merged.data());
+    run.swap(merged);
+    seqs.pop_back();
+  }
+  seqs.push_back(Sequence{std::move(run), 0});
+  FindBest();
+}
+
+void DoubleHeap::Side::FindBest() {
+  best = 0;
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    if (seqs[i].Front() < seqs[best].Front()) best = i;
+  }
+}
+
+// Recomputes `min` from the insertion-heap root and the best sequence head.
+void DoubleHeap::Side::FindMin() {
+  if (seqs.empty()) {
+    if (!ins.empty()) min = ins[0];
+    return;
+  }
+  const Key head = seqs[best].Front();
+  min = ins.empty() || head < ins[0] ? head : ins[0];
 }
 
 bool DoubleHeap::Push(HeapSide side, Key key) {
   if (Full()) return false;
-  Side& s = sides_[Index(side)];
-  Key* heap = s.keys.data();
-  heap[s.heap_size++] = key;
-  WithOrder(side, [&](auto less) {
-    std::push_heap(heap, heap + s.heap_size, less);
-  });
+  sides_[Index(side)].Insert(Flip(side, key));
+  ++size_;
   return true;
 }
 
 bool DoubleHeap::PushNextRun(HeapSide side, Key key) {
   if (Full()) return false;
-  Side& s = sides_[Index(side)];
-  s.keys[capacity_ - ++s.pool_size] = key;
+  sides_[Index(side)].pool.push_back(Flip(side, key));
+  ++size_;
   return true;
 }
 
 Key DoubleHeap::Pop(HeapSide side) {
   assert(HasCurrent(side));
-  Side& s = sides_[Index(side)];
-  Key* heap = s.keys.data();
-  WithOrder(side, [&](auto less) {
-    std::pop_heap(heap, heap + s.heap_size, less);
-  });
-  return heap[--s.heap_size];
+  --size_;
+  return Flip(side, sides_[Index(side)].PopMin());
 }
 
 Key DoubleHeap::ReplaceTop(HeapSide side, Key key) {
   assert(HasCurrent(side));
   Side& s = sides_[Index(side)];
-  const Key evicted = s.keys[0];
-  WithOrder(side, [&](auto less) {
-    SiftDownFromRoot(s.keys.data(), s.heap_size, key, less);
-  });
-  return evicted;
+  const Key stored = Flip(side, key);
+  const Key evicted = s.min;
+  if (s.MinInInsertionHeap()) {
+    SiftDownFromRoot(s.ins.data(), s.ins.size(), stored);
+  } else {
+    s.DropSequenceHead();
+    --s.current;
+    s.Insert(stored);
+  }
+  s.FindMin();
+  return Flip(side, evicted);
 }
 
 Key DoubleHeap::PopLastLeaf(HeapSide side) {
   assert(HasCurrent(side));
   Side& s = sides_[Index(side)];
-  return s.keys[--s.heap_size];
+  --s.current;
+  --size_;
+  Key key;
+  if (!s.ins.empty()) {
+    key = s.ins.back();
+    s.ins.pop_back();
+  } else {
+    Sequence& newest = s.seqs.back();
+    key = newest.keys.back();
+    newest.keys.pop_back();
+    if (newest.size() == 0) {
+      s.seqs.pop_back();
+      s.FindBest();
+    }
+  }
+  s.FindMin();
+  return Flip(side, key);
 }
 
 void DoubleHeap::StartNextRun() {
-  for (HeapSide side : {HeapSide::kBottom, HeapSide::kTop}) {
-    Side& s = sides_[Index(side)];
-    assert(s.heap_size == 0);
-    Key* heap = s.keys.data();
-    if (s.pool_size > 0) {
-      std::memmove(heap, heap + capacity_ - s.pool_size,
-                   s.pool_size * sizeof(Key));
-    }
-    s.heap_size = s.pool_size;
-    s.pool_size = 0;
-    WithOrder(side, [&](auto less) {
-      std::make_heap(heap, heap + s.heap_size, less);
-    });
+  for (Side& s : sides_) {
+    assert(s.current == 0);
+    if (s.pool.empty()) continue;
+    simd::SortKeysBlock(s.pool.data(), s.pool.size());
+    s.current = s.pool.size();
+    s.seqs.push_back(Sequence{std::move(s.pool), 0});
+    s.pool = PageVector<Key>();
+    s.best = 0;
+    s.min = s.seqs[0].Front();
   }
 }
 
 bool DoubleHeap::IsValid() const {
-  if (size() > capacity_) return false;
-  for (HeapSide side : {HeapSide::kBottom, HeapSide::kTop}) {
-    const Side& s = sides_[Index(side)];
-    const bool ok = WithOrder(side, [&](auto less) {
-      return std::is_heap(s.keys.begin(), s.keys.begin() + s.heap_size, less);
-    });
-    if (!ok) return false;
+  if (size_ > capacity_ ||
+      size_ != SideSize(HeapSide::kBottom) + SideSize(HeapSide::kTop)) {
+    return false;
+  }
+  for (const Side& s : sides_) {
+    if (s.ins.size() > kInsertionBound ||
+        !std::is_heap(s.ins.begin(), s.ins.end(), MinFirst())) {
+      return false;
+    }
+    size_t held = s.ins.size();
+    for (const Sequence& seq : s.seqs) {
+      if (seq.size() == 0 ||
+          !std::is_sorted(seq.keys.begin() + seq.head, seq.keys.end()) ||
+          seq.Front() < s.seqs[s.best].Front()) {
+        return false;
+      }
+      held += seq.size();
+    }
+    if (held != s.current || s.seqs.size() > kMaxSequences) return false;
+    if (held > 0) {
+      Key min = s.ins.empty() ? s.seqs[s.best].Front() : s.ins[0];
+      if (!s.seqs.empty()) min = std::min(min, s.seqs[s.best].Front());
+      if (min != s.min) return false;
+    }
   }
   return true;
 }

@@ -396,6 +396,108 @@ TEST(DoubleHeapTest, RandomizedMixedOperationsKeepInvariants) {
   }
 }
 
+// The same kind of model check at capacities above the insertion bound, so
+// each side's insertion heap spills into sequences and the spills merge,
+// and StartNextRun promotes pools larger than the bound. Each run fills the
+// heap, then replaces records the way 2WRS does (a removal, then a push of
+// either run), with ReplaceTop and PopLastLeaf mixed in after the spills,
+// and ends by draining both sides.
+TEST(DoubleHeapTest, RandomizedSpillsAndMergesMatchModel) {
+  struct SideModel {
+    std::multiset<Key> current;
+    std::multiset<Key> next;
+  };
+  Random rng(81);
+  for (size_t capacity : {5000u, 20000u, 70000u}) {
+    DoubleHeap heap(capacity);
+    SideModel model[2];
+    auto at = [&](HeapSide side) -> SideModel& {
+      return model[side == HeapSide::kBottom ? 0 : 1];
+    };
+    auto extreme = [&](HeapSide side) {
+      const std::multiset<Key>& c = at(side).current;
+      return side == HeapSide::kBottom ? std::prev(c.end()) : c.begin();
+    };
+    size_t held = 0;
+    uint64_t bottom_share = 2;  // of 4; skewed anew every run
+    auto random_side = [&] {
+      return rng.Uniform(4) < bottom_share ? HeapSide::kBottom
+                                           : HeapSide::kTop;
+    };
+    // Pushes a key to a random side: the next run one time in `next_in`.
+    auto push = [&](uint64_t next_in) {
+      const HeapSide side = random_side();
+      const Key key = static_cast<Key>(rng.Uniform(1000000));
+      const bool next = rng.Uniform(next_in) == 0;
+      const bool stored =
+          next ? heap.PushNextRun(side, key) : heap.Push(side, key);
+      ASSERT_EQ(stored, held < capacity);
+      if (stored) {
+        (next ? at(side).next : at(side).current).insert(key);
+        ++held;
+      }
+    };
+    auto check = [&](int run) {
+      ASSERT_TRUE(heap.IsValid()) << "capacity " << capacity << " run " << run;
+      ASSERT_EQ(heap.size(), held);
+      for (HeapSide s : kSides) {
+        ASSERT_EQ(heap.SideSize(s), at(s).current.size() + at(s).next.size());
+        ASSERT_EQ(heap.HasCurrent(s), !at(s).current.empty());
+        if (heap.HasCurrent(s)) {
+          ASSERT_EQ(heap.Top(s), *extreme(s));
+        }
+      }
+    };
+    size_t largest_pool = 0;
+    for (int run = 0; run < 4; ++run) {
+      bottom_share = 1 + rng.Uniform(3);
+      while (held < capacity) push(4);
+      check(run);
+      for (size_t step = 0; step < 8 * capacity; ++step) {
+        const HeapSide side = random_side();
+        SideModel& m = at(side);
+        const uint64_t op = rng.Uniform(16);
+        if (m.current.empty() || op >= 13) {
+          push(16);  // refused when full
+        } else if (op < 9) {
+          ASSERT_EQ(heap.Pop(side), *extreme(side));
+          m.current.erase(extreme(side));
+          --held;
+          push(16);
+        } else if (op < 12) {
+          const Key key = static_cast<Key>(rng.Uniform(1000000));
+          ASSERT_EQ(heap.ReplaceTop(side, key), *extreme(side));
+          m.current.erase(extreme(side));
+          m.current.insert(key);
+        } else {
+          const auto it = m.current.find(heap.PopLastLeaf(side));
+          ASSERT_NE(it, m.current.end());
+          m.current.erase(it);
+          --held;
+          push(16);
+        }
+        if (step % 997 == 0) check(run);
+      }
+      check(run);
+      for (HeapSide s : kSides) {
+        while (!at(s).current.empty()) {
+          ASSERT_EQ(heap.Pop(s), *extreme(s));
+          at(s).current.erase(extreme(s));
+          --held;
+        }
+        largest_pool = std::max(largest_pool, at(s).next.size());
+      }
+      heap.StartNextRun();
+      for (SideModel& sm : model) std::swap(sm.current, sm.next);
+      check(run);
+    }
+    if (capacity > 2 * DoubleHeap::kInsertionBound) {
+      EXPECT_GT(largest_pool, DoubleHeap::kInsertionBound)
+          << "capacity " << capacity;
+    }
+  }
+}
+
 TEST(DoubleHeapTest, DrainAfterMixedInsertsIsSorted) {
   Random rng(78);
   for (int trial = 0; trial < 20; ++trial) {
