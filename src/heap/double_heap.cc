@@ -188,8 +188,7 @@ void DoubleHeap::StartNextRun() {
     if (s.pool.empty()) continue;
     simd::SortKeysBlock(s.pool.data(), s.pool.size());
     s.current = s.pool.size();
-    s.seqs.push_back(Sequence{std::move(s.pool), 0});
-    s.pool = PageVector<Key>();
+    s.seqs.push_back(Sequence{std::move(s.pool), 0});  // leaves pool empty
     s.best = 0;
     s.min = s.seqs[0].Front();
   }
