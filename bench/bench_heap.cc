@@ -119,7 +119,7 @@ void BM_LoserTreeMerge(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * ways *
                           per_way);
 }
-BENCHMARK(BM_LoserTreeMerge)->Arg(2)->Arg(10)->Arg(64);
+BENCHMARK(BM_LoserTreeMerge)->Arg(2)->Arg(5)->Arg(8)->Arg(10)->Arg(64);
 
 void BM_MedianTracker(benchmark::State& state) {
   const size_t window = static_cast<size_t>(state.range(0));

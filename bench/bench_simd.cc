@@ -140,40 +140,6 @@ KernelTiming BenchPartition(bool avx2) {
   return timing;
 }
 
-/// MinIndexN is a per-selection primitive, so one repetition slides an
-/// 8-wide window over the key array — the shape of an 8-way merge's inner
-/// loop — and folds the picked indices into a checksum.
-KernelTiming BenchMinIndex(bool avx2) {
-  const std::vector<Key> keys = RandomKeys(kKeys, kSeed + 5);
-  constexpr size_t kWindow = 8;
-  const size_t selections = keys.size() - kWindow + 1;
-  size_t scalar_sum = 0;
-  KernelTiming timing{"min_index", selections, 0.0, 0.0};
-  timing.scalar_seconds = TimeSeconds(
-      [&] {
-        size_t sum = 0;
-        for (size_t i = 0; i + kWindow <= keys.size(); ++i) {
-          sum += simd::internal::MinIndexNScalar(keys.data() + i, kWindow);
-        }
-        scalar_sum = sum;
-      },
-      20);
-  if (avx2) {
-    size_t avx2_sum = 0;
-    timing.avx2_seconds = TimeSeconds(
-        [&] {
-          size_t sum = 0;
-          for (size_t i = 0; i + kWindow <= keys.size(); ++i) {
-            sum += simd::internal::MinIndexNAvx2(keys.data() + i, kWindow);
-          }
-          avx2_sum = sum;
-        },
-        20);
-    RequireIdentical(avx2_sum == scalar_sum, timing.kernel);
-  }
-  return timing;
-}
-
 int Main(int argc, char** argv) {
   ParseBenchArgs(argc, argv);
   const bool avx2 = simd::CpuSupportsAvx2();
@@ -186,7 +152,6 @@ int Main(int argc, char** argv) {
                       "Speedup"});
   Report(BenchSortKeysBlock(avx2), &table);
   Report(BenchPartition(avx2), &table);
-  Report(BenchMinIndex(avx2), &table);
   table.Print(std::cout);
 
   JsonReporter::Global().Flush();

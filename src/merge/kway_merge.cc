@@ -4,8 +4,6 @@
 
 #include "exec/async_io.h"
 #include "merge/loser_tree.h"
-#include "simd/dispatch.h"
-#include "simd/kernels.h"
 
 namespace twrs {
 
@@ -123,84 +121,22 @@ class BatchedMergeProgress {
   uint64_t pending_ = 0;
 };
 
-/// Small-fan-in selector with the LoserTree interface: live cursors' heads
-/// sit in a flat array scanned by MinIndexN after every change. Ties
-/// resolve to the lowest array index and exhausted ways are compacted out
-/// preserving order, so the selection order is the loser tree's (stable
-/// lowest-way tie-break, see loser_tree.h).
-class FlatSelector {
- public:
-  explicit FlatSelector(const std::vector<RunCursor>& cursors)
-      : level_(simd::ActiveDispatchLevel()),
-        min_index_(level_ == simd::DispatchLevel::kAvx2
-                       ? simd::internal::MinIndexNAvx2
-                       : simd::internal::MinIndexNScalar) {
-    for (size_t i = 0; i < cursors.size(); ++i) {
-      if (!cursors[i].valid()) continue;
-      keys_[live_] = cursors[i].key();
-      ways_[live_] = i;
-      ++live_;
-    }
-    Select();
-  }
-
-  // Dispatch is resolved once and the call counter batched: one atomic add
-  // for the whole merge instead of one per selected record.
-  ~FlatSelector() {
-    simd::AddKernelCalls(simd::Kernel::kMinIndex, level_, selections_);
-  }
-
-  bool Exhausted() const { return live_ == 0; }
-  size_t WinnerIndex() const { return ways_[winner_]; }
-  Key WinnerKey() const { return keys_[winner_]; }
-
-  void ReplaceWinner(Key key) {
-    keys_[winner_] = key;
-    Select();
-  }
-
-  void RetireWinner() {
-    for (size_t j = winner_ + 1; j < live_; ++j) {
-      keys_[j - 1] = keys_[j];
-      ways_[j - 1] = ways_[j];
-    }
-    --live_;
-    Select();
-  }
-
- private:
-  void Select() {
-    if (live_ == 0) return;
-    winner_ = min_index_(keys_, live_);
-    ++selections_;
-  }
-
-  const simd::DispatchLevel level_;
-  size_t (*const min_index_)(const Key*, size_t);
-  Key keys_[kSmallMergeFanIn];
-  size_t ways_[kSmallMergeFanIn];
-  size_t live_ = 0;
-  size_t winner_ = 0;
-  uint64_t selections_ = 0;
-};
-
-/// The one merge loop, over either selector. Polls the cancel token every
-/// record, serves `window`, and appends straight into `writer`; `*first`
-/// and `*last` receive the first and last emitted keys.
-template <typename Selector>
-Status MergeLoop(Selector* selector, std::vector<RunCursor>* cursors,
+/// The one merge loop. Polls the cancel token every record, serves
+/// `window`, and appends straight into `writer`; `*first` and `*last`
+/// receive the first and last emitted keys.
+Status MergeLoop(LoserTree* tree, std::vector<RunCursor>* cursors,
                  const MergeWindow& window, const MergeIoOptions& io,
                  RecordWriter* writer, Key* first, Key* last) {
   uint64_t to_skip = window.skip;
   uint64_t remaining = window.limit;
   BatchedMergeProgress batched(io.progress);
-  while (!selector->Exhausted() && remaining > 0) {
+  while (!tree->Exhausted() && remaining > 0) {
     if (IsCancelled(io.cancel)) return Status::Cancelled("merge cancelled");
-    const size_t w = selector->WinnerIndex();
+    const size_t w = tree->WinnerIndex();
     if (to_skip > 0) {
       --to_skip;
     } else {
-      const Key key = selector->WinnerKey();
+      const Key key = tree->WinnerKey();
       if (remaining == window.limit) *first = key;
       *last = key;
       TWRS_RETURN_IF_ERROR(writer->Append(key));
@@ -210,9 +146,9 @@ Status MergeLoop(Selector* selector, std::vector<RunCursor>* cursors,
     RunCursor& cursor = (*cursors)[w];
     TWRS_RETURN_IF_ERROR(cursor.Next());
     if (cursor.valid()) {
-      selector->ReplaceWinner(cursor.key());
+      tree->ReplaceWinner(cursor.key());
     } else {
-      selector->RetireWinner();
+      tree->RetireWinner();
     }
   }
   return Status::OK();
@@ -226,19 +162,13 @@ Status Merge(std::vector<RunCursor>* cursors, const MergeWindow& window,
   Key first = 0;
   Key last = 0;
   const size_t k = cursors->size();
-  if (k <= kSmallMergeFanIn) {
-    FlatSelector selector(*cursors);
-    TWRS_RETURN_IF_ERROR(
-        MergeLoop(&selector, cursors, window, io, writer, &first, &last));
-  } else {
-    LoserTree tree(k);
-    for (size_t i = 0; i < k; ++i) {
-      if ((*cursors)[i].valid()) tree.SetInitial(i, (*cursors)[i].key());
-    }
-    tree.Build();
-    TWRS_RETURN_IF_ERROR(
-        MergeLoop(&tree, cursors, window, io, writer, &first, &last));
+  LoserTree tree(k);
+  for (size_t i = 0; i < k; ++i) {
+    if ((*cursors)[i].valid()) tree.SetInitial(i, (*cursors)[i].key());
   }
+  tree.Build();
+  TWRS_RETURN_IF_ERROR(
+      MergeLoop(&tree, cursors, window, io, writer, &first, &last));
   TWRS_RETURN_IF_ERROR(writer->Finish());
   if (out != nullptr) {
     RunInfo info;

@@ -107,17 +107,11 @@ struct MergeWindow {
   uint64_t limit = kMergeNoLimit;
 };
 
-/// Fan-in at or below which Merge selects with a flat simd::MinIndexN scan
-/// instead of the loser tree: at these widths the whole candidate set fits
-/// in one or two vector loads, which beats the tree's pointer chasing.
-inline constexpr size_t kSmallMergeFanIn = 8;
-
 /// The k-way merge (§2.1.2): merges already-initialized (possibly sliced,
 /// see RunCursor::InitSlice) cursors into `writer` as one non-decreasing
 /// record stream, emitting only `window` of the merge order. Selects the
-/// next record with a flat MinIndexN scan up to kSmallMergeFanIn cursors
-/// and with a loser tree above; both break ties toward the lowest cursor
-/// index, so the output bytes never depend on the selector. `io` supplies
+/// next record with a loser tree that breaks ties toward the lowest cursor
+/// index, so equal keys leave in cursor order. `io` supplies
 /// cancellation and progress. `writer` is one the caller opened (see
 /// OpenRecordWriter); Merge finishes it, so a positioned range's
 /// exact-fill check runs before this returns. `*out` (if non-null)

@@ -1,6 +1,7 @@
 #ifndef TWRS_MERGE_LOSER_TREE_H_
 #define TWRS_MERGE_LOSER_TREE_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <vector>
@@ -9,11 +10,13 @@
 
 namespace twrs {
 
-/// Tournament (loser) tree over k input ways, the classic k-way merge
-/// selector (§2.1.2 implemented with log k comparisons per record instead of
-/// the naive k-1). Internal nodes remember the loser of each match; the
-/// overall winner is the way with the smallest current key. Exhausted ways
-/// rank after every live key.
+/// Tournament (loser) tree over k input ways, the k-way merge selector of
+/// §2.1.2 (log k comparisons per record instead of the naive k-1). The live
+/// ways sit in slots in way order, and a match compares (key, slot) pairs,
+/// so ties go to the lowest way and the merge order is a strict total
+/// order. Internal nodes hold the losing (key, slot) of their match; the
+/// overall winner is the live way with the smallest current key. A retired
+/// way's slot is erased and the tree rebuilt over the remaining ones.
 class LoserTree {
  public:
   /// Creates a tree over `k` ways; all ways start exhausted.
@@ -28,7 +31,7 @@ class LoserTree {
   /// Way holding the smallest key. Requires !Exhausted().
   size_t WinnerIndex() const {
     assert(!Exhausted());
-    return winner_;
+    return ways_[winner_];
   }
 
   /// Key of the winning way.
@@ -40,98 +43,84 @@ class LoserTree {
   /// Replaces the winner's key with its next key and replays its path.
   void ReplaceWinner(Key key);
 
-  /// Marks the winning way as exhausted and replays its path.
+  /// Drops the winning way and replays the tournament over the others.
   void RetireWinner();
 
   /// True when every way is exhausted.
-  bool Exhausted() const { return live_ == 0; }
+  bool Exhausted() const { return keys_.empty(); }
 
   size_t ways() const { return k_; }
 
  private:
-  // True when way `a` beats (sorts before) way `b`.
-  bool Beats(size_t a, size_t b) const {
-    if (!alive_[a]) return false;
-    if (!alive_[b]) return true;
-    if (keys_[a] != keys_[b]) return keys_[a] < keys_[b];
-    return a < b;  // deterministic tie-break keeps the merge stable
+  struct Entry {
+    Key key;
+    size_t slot;
+  };
+
+  // True when (a_key, a_slot) sorts before (b_key, b_slot). Bitwise ops
+  // keep the match free of branches.
+  static bool Before(Key a_key, size_t a_slot, Key b_key, size_t b_slot) {
+    return (a_key < b_key) | ((a_key == b_key) & (a_slot < b_slot));
   }
 
-  void Replay(size_t way);
-
   size_t k_;
-  size_t live_ = 0;
-  std::vector<Key> keys_;
-  std::vector<bool> alive_;
-  std::vector<size_t> losers_;  // internal nodes [1, k): loser way indices
-  size_t winner_ = 0;
-  bool built_ = false;
+  std::vector<Key> keys_;        // slot -> current key
+  std::vector<size_t> ways_;     // slot -> way, increasing
+  std::vector<Entry> nodes_;     // internal nodes [1, slots): match losers
+  size_t winner_ = 0;            // slot of the overall winner
 };
 
-inline LoserTree::LoserTree(size_t k)
-    : k_(k), keys_(k, 0), alive_(k, false), losers_(k, SIZE_MAX) {}
+inline LoserTree::LoserTree(size_t k) : k_(k), nodes_(k) {}
 
 inline void LoserTree::SetInitial(size_t w, Key key) {
-  assert(!built_);
-  assert(!alive_[w]);
-  keys_[w] = key;
-  alive_[w] = true;
-  ++live_;
+  assert(w < k_);
+  const auto pos = std::lower_bound(ways_.begin(), ways_.end(), w);
+  assert(pos == ways_.end() || *pos != w);
+  keys_.insert(keys_.begin() + (pos - ways_.begin()), key);
+  ways_.insert(pos, w);
 }
 
 inline void LoserTree::Build() {
-  built_ = true;
-  if (k_ == 0) return;
-  if (k_ == 1) {
-    winner_ = 0;
-    return;
+  // Slot s is leaf n + s; node i plays the winners of 2i and 2i+1.
+  const size_t n = keys_.size();
+  std::vector<Entry> winners(2 * n);
+  for (size_t s = 0; s < n; ++s) winners[n + s] = {keys_[s], s};
+  for (size_t node = n; node-- > 1;) {
+    const Entry& a = winners[2 * node];
+    const Entry& b = winners[2 * node + 1];
+    const bool a_wins = Before(a.key, a.slot, b.key, b.slot);
+    nodes_[node] = a_wins ? b : a;
+    winners[node] = a_wins ? a : b;
   }
-  // Play the tournament bottom-up: winners_of[node] via a scratch array.
-  std::vector<size_t> winner_of(2 * k_);
-  for (size_t w = 0; w < k_; ++w) winner_of[k_ + w] = w;
-  for (size_t node = k_ - 1; node >= 1; --node) {
-    const size_t a = winner_of[2 * node];
-    const size_t b = winner_of[2 * node + 1];
-    if (Beats(a, b)) {
-      winner_of[node] = a;
-      losers_[node] = b;
-    } else {
-      winner_of[node] = b;
-      losers_[node] = a;
-    }
-  }
-  winner_ = winner_of[1];
-}
-
-inline void LoserTree::Replay(size_t way) {
-  if (k_ == 1) {
-    winner_ = 0;
-    return;
-  }
-  size_t node = (k_ + way) / 2;
-  size_t current = way;
-  while (node >= 1) {
-    const size_t opponent = losers_[node];
-    if (opponent != SIZE_MAX && Beats(opponent, current)) {
-      losers_[node] = current;
-      current = opponent;
-    }
-    node /= 2;
-  }
-  winner_ = current;
+  winner_ = n > 1 ? winners[1].slot : 0;
 }
 
 inline void LoserTree::ReplaceWinner(Key key) {
-  assert(built_ && !Exhausted());
+  assert(!Exhausted());
   keys_[winner_] = key;
-  Replay(winner_);
+  size_t slot = winner_;
+  for (size_t node = (keys_.size() + slot) / 2; node >= 1; node /= 2) {
+    Entry& loser = nodes_[node];
+    const Key other_key = loser.key;
+    const size_t other_slot = loser.slot;
+    // When the stored loser beats the climbing entry the two trade places,
+    // through masked XORs that compilers keep branch-free.
+    const bool beats = Before(other_key, other_slot, key, slot);
+    const Key key_flip = (key ^ other_key) & -static_cast<Key>(beats);
+    const size_t slot_flip = (slot ^ other_slot) & (size_t{0} - beats);
+    loser.key = other_key ^ key_flip;
+    loser.slot = other_slot ^ slot_flip;
+    key ^= key_flip;
+    slot ^= slot_flip;
+  }
+  winner_ = slot;
 }
 
 inline void LoserTree::RetireWinner() {
-  assert(built_ && !Exhausted());
-  alive_[winner_] = false;
-  --live_;
-  Replay(winner_);
+  assert(!Exhausted());
+  keys_.erase(keys_.begin() + static_cast<ptrdiff_t>(winner_));
+  ways_.erase(ways_.begin() + static_cast<ptrdiff_t>(winner_));
+  Build();
 }
 
 }  // namespace twrs

@@ -48,8 +48,6 @@ const char* KernelName(Kernel kernel) {
       return "sort_block";
     case Kernel::kPartition:
       return "partition";
-    case Kernel::kMinIndex:
-      return "min_index";
   }
   return "unknown";
 }

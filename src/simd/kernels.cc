@@ -35,14 +35,6 @@ void PartitionBySplittersScalar(const Key* keys, size_t n,
   }
 }
 
-size_t MinIndexNScalar(const Key* keys, size_t n) {
-  size_t best = 0;
-  for (size_t i = 1; i < n; ++i) {
-    if (keys[i] < keys[best]) best = i;
-  }
-  return best;
-}
-
 }  // namespace internal
 
 void SortKeysBlock(Key* keys, size_t n) {
@@ -63,13 +55,6 @@ void PartitionBySplitters(const Key* keys, size_t n, const Key* splitters,
     internal::PartitionBySplittersScalar(keys, n, splitters, num_splitters,
                                          bucket);
   }
-}
-
-size_t MinIndexN(const Key* keys, size_t n) {
-  if (ResolveAndCount(Kernel::kMinIndex) == DispatchLevel::kAvx2) {
-    return internal::MinIndexNAvx2(keys, n);
-  }
-  return internal::MinIndexNScalar(keys, n);
 }
 
 }  // namespace simd

@@ -28,12 +28,6 @@ void SortKeysBlock(Key* keys, size_t n);
 void PartitionBySplitters(const Key* keys, size_t n, const Key* splitters,
                           size_t num_splitters, uint32_t* bucket);
 
-/// Index of the minimum of keys[0..n); ties resolve to the lowest index
-/// (the loser tree's stable tie-break). Requires n >= 1. The fast
-/// selection primitive of small-fan-in merges, where a tournament tree's
-/// pointer chasing costs more than a branchless vector scan.
-size_t MinIndexN(const Key* keys, size_t n);
-
 /// Fixed-level twins behind the dispatched entry points above. Tests pin
 /// byte-identity across levels through these, and bench_simd times each
 /// level on identical inputs. The Avx2 entries must only be called when
@@ -49,9 +43,6 @@ void PartitionBySplittersScalar(const Key* keys, size_t n,
                                 uint32_t* bucket);
 void PartitionBySplittersAvx2(const Key* keys, size_t n, const Key* splitters,
                               size_t num_splitters, uint32_t* bucket);
-
-size_t MinIndexNScalar(const Key* keys, size_t n);
-size_t MinIndexNAvx2(const Key* keys, size_t n);
 
 /// True when this binary was compiled with the AVX2 kernel bodies
 /// (x86 toolchain with -mavx2 support); false on the scalar-only build.

@@ -330,56 +330,6 @@ void PartitionBySplittersAvx2(const Key* keys, size_t n, const Key* splitters,
   }
 }
 
-size_t MinIndexNAvx2(const Key* keys, size_t n) {
-  if (n < 4) return MinIndexNScalar(keys, n);
-  if (n <= 8) {
-    // The merge fast path's shape: everything stays in registers. Two
-    // (possibly overlapping) loads cover keys[0..n); the min is reduced
-    // and splatted in-register, and one combined equality bitmask yields
-    // the first — lowest-index — occurrence.
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + n - 4));
-    __m256i m = MinEpi64(v0, v1);
-    m = MinEpi64(m, _mm256_permute4x64_epi64(m, _MM_SHUFFLE(1, 0, 3, 2)));
-    m = MinEpi64(m, _mm256_permute4x64_epi64(m, _MM_SHUFFLE(2, 3, 0, 1)));
-    const auto mask0 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v0, m))));
-    const auto mask1 = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(v1, m))));
-    // v1's lanes sit at indices n-4..n-1; overlapped bits just OR twice.
-    const unsigned mask = mask0 | (mask1 << (n - 4));
-    return static_cast<size_t>(__builtin_ctz(mask));
-  }
-  __m256i vmin = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys));
-  size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    vmin = MinEpi64(
-        vmin, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i)));
-  }
-  alignas(32) Key lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vmin);
-  Key m = lanes[0];
-  for (size_t l = 1; l < 4; ++l) m = std::min(m, lanes[l]);
-  for (; i < n; ++i) m = std::min(m, keys[i]);
-
-  const __m256i vm = _mm256_set1_epi64x(m);
-  size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i eq = _mm256_cmpeq_epi64(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + j)), vm);
-    const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-    if (mask != 0) {
-      return j + static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
-    }
-  }
-  for (; j < n; ++j) {
-    if (keys[j] == m) return j;
-  }
-  return n - 1;  // unreachable: m is an element of keys[0..n)
-}
-
 }  // namespace internal
 }  // namespace simd
 }  // namespace twrs
@@ -401,10 +351,6 @@ void SortKeysBlockAvx2(Key* keys, size_t n) { SortKeysBlockScalar(keys, n); }
 void PartitionBySplittersAvx2(const Key* keys, size_t n, const Key* splitters,
                               size_t num_splitters, uint32_t* bucket) {
   PartitionBySplittersScalar(keys, n, splitters, num_splitters, bucket);
-}
-
-size_t MinIndexNAvx2(const Key* keys, size_t n) {
-  return MinIndexNScalar(keys, n);
 }
 
 }  // namespace internal

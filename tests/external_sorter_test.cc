@@ -232,7 +232,7 @@ TEST(ExternalSorterTest, SimdOutputIsByteIdenticalToForcedScalar) {
   ExternalSortOptions options;
   options.memory_records = 128;
   options.twrs = TwoWayOptions::Recommended(128, 7);
-  options.fan_in = 4;  // small fan-in: exercises the MinIndexN merge path
+  options.fan_in = 4;  // small fan-in: a multi-pass merge
   options.temp_dir = "tmp";
   options.block_bytes = 512;
 

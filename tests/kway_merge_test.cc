@@ -174,11 +174,10 @@ RunInfo MakeMixedRun(Env* env, const std::string& prefix,
   return sink.runs()[0];
 }
 
-// The one Merge against std::sort then slicing: every fan-in from 1 to 20
-// (both sides of kSmallMergeFanIn, so both selectors), forward and mixed
-// forward/reverse runs, random InitSlice slices and a random MergeWindow.
+// The one Merge against std::sort then slicing: every fan-in from 1 to 20,
+// forward and mixed forward/reverse runs, random InitSlice slices and a
+// random MergeWindow.
 TEST(KWayMergeTest, RandomizedManyRunsProperty) {
-  static_assert(kSmallMergeFanIn < 20, "fan-ins must straddle the cutover");
   Random rng(23);
   for (size_t k = 1; k <= 20; ++k) {
     for (int trial = 0; trial < 4; ++trial) {

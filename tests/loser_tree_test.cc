@@ -109,5 +109,51 @@ TEST(LoserTreeTest, RandomizedAgainstSortProperty) {
   }
 }
 
+TEST(LoserTreeTest, WinnerSequenceMatchesLowestIndexModel) {
+  // Keys from a domain of 4 make ties the common case, and short ways
+  // retire throughout the merge, so ties and slot erasures interleave. The
+  // model picks the lowest way among the minimum current keys every step.
+  Random rng(29);
+  for (size_t k = 1; k <= 12; ++k) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::vector<Key>> ways(k);
+      for (auto& way : ways) {
+        way.resize(rng.Uniform(12));
+        for (Key& key : way) key = static_cast<Key>(rng.Uniform(4));
+        std::sort(way.begin(), way.end());
+      }
+      std::vector<size_t> model_pos(k, 0);
+      std::vector<size_t> tree_pos(k, 0);
+      LoserTree tree(k);
+      for (size_t w = 0; w < k; ++w) {
+        if (!ways[w].empty()) tree.SetInitial(w, ways[w][0]);
+      }
+      tree.Build();
+      for (;;) {
+        size_t expect = k;
+        for (size_t w = 0; w < k; ++w) {
+          if (model_pos[w] == ways[w].size()) continue;
+          if (expect == k ||
+              ways[w][model_pos[w]] < ways[expect][model_pos[expect]]) {
+            expect = w;
+          }
+        }
+        if (expect == k) break;
+        ++model_pos[expect];
+        ASSERT_FALSE(tree.Exhausted()) << "k=" << k << " trial=" << trial;
+        const size_t w = tree.WinnerIndex();
+        ASSERT_EQ(w, expect) << "k=" << k << " trial=" << trial;
+        ASSERT_EQ(tree.WinnerKey(), ways[w][tree_pos[w]]);
+        if (++tree_pos[w] < ways[w].size()) {
+          tree.ReplaceWinner(ways[w][tree_pos[w]]);
+        } else {
+          tree.RetireWinner();
+        }
+      }
+      EXPECT_TRUE(tree.Exhausted()) << "k=" << k << " trial=" << trial;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace twrs

@@ -124,32 +124,6 @@ TEST_P(SimdKernelsTest, PartitionBySplittersMatchesScalar) {
   }
 }
 
-TEST_P(SimdKernelsTest, MinIndexNMatchesScalar) {
-  for (Family family : AllFamilies()) {
-    for (size_t n : TestSizes()) {
-      if (n == 0) continue;  // MinIndexN requires n >= 1
-      std::vector<Key> keys = MakeInput(family, n, 53 * n + 9);
-      const size_t expected = internal::MinIndexNScalar(keys.data(), n);
-      ASSERT_EQ(MinIndexN(keys.data(), n), expected)
-          << "family=" << static_cast<int>(family) << " n=" << n;
-    }
-  }
-}
-
-TEST_P(SimdKernelsTest, MinIndexNTiesResolveToLowestIndex) {
-  // All-equal input: the loser-tree tie-break (lowest way wins) demands
-  // index 0 regardless of dispatch level.
-  for (size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 16}) {
-    std::vector<Key> keys(n, 42);
-    EXPECT_EQ(MinIndexN(keys.data(), n), 0u) << "n=" << n;
-    if (n >= 6) {
-      keys[1] = 7;
-      keys[5] = 7;
-      EXPECT_EQ(MinIndexN(keys.data(), n), 1u) << "n=" << n;
-    }
-  }
-}
-
 TEST_P(SimdKernelsTest, KernelCallsCountDispatchedLevel) {
   const DispatchLevel level = GetParam();
   const uint64_t before = KernelCalls(Kernel::kSortKeys, level);
@@ -180,7 +154,6 @@ TEST(SimdDispatchTest, NamesAreStable) {
   EXPECT_STREQ(DispatchLevelName(DispatchLevel::kAvx2), "avx2");
   EXPECT_STREQ(KernelName(Kernel::kSortKeys), "sort_block");
   EXPECT_STREQ(KernelName(Kernel::kPartition), "partition");
-  EXPECT_STREQ(KernelName(Kernel::kMinIndex), "min_index");
 }
 
 TEST(SimdDispatchTest, PublishKernelCountersIsIdempotentPerRegistry) {
